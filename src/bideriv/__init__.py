@@ -58,7 +58,6 @@ from .poly import (
     iterated_circ,
     jacobiator,
     lie_bracket,
-    monomial_degree,
     monomials_of_degree,
     random_homogeneous_polynomial,
     random_polynomial,
@@ -73,7 +72,7 @@ from .simplicity import (
     separating_cartan,
     transfer_operator,
 )
-from .textio import ParseContext, format_polynomial, format_scalar, parse_polynomial
+from .textio import ParseContext, format_polynomial, parse_polynomial
 from .verdicts import SimplicityReport, Verdict
 from .weights import (
     CartanElement,

@@ -43,7 +43,8 @@ from .jordan import (
 )
 from .matrices import SquareMatrix, SymMatrix
 from .poly import Polynomial, VectorField, associator, circ, gradient, jacobiator, lie_bracket
-from .simplicity import Subspace, bimodule_closure, ideal_reduce, is_simple_bimodule
+from .simplicity import (Subspace, bimodule_closure, guarded_cell_dimension, ideal_reduce,
+                         is_simple_bimodule)
 from .textio import ParseContext, format_polynomial, parse_polynomial
 from .verdicts import SimplicityReport, Verdict
 from .weights import WeightDecomposition, decompose, peirce_decomposition
@@ -117,9 +118,11 @@ def matrix_from_json(text: str, fld: Field, symmetric: bool = False) -> SquareMa
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad matrix JSON: {exc.msg}", exc.pos) from exc
-    if not isinstance(obj, dict) or "entries" not in obj:
+    except RecursionError:
+        raise ParseError("bad matrix JSON: nested too deeply", 0) from None
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise ParseError('matrix JSON must be {"n": N, "entries": [[...], ...]}', 0)
-    entries = obj["entries"]
     n = obj.get("n", len(entries))
     if len(entries) != n or any(len(row) != n for row in entries):
         raise DimensionMismatchError("matrix entries do not form an n x n grid")
@@ -304,6 +307,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_peirce(args):
+    guarded_cell_dimension(args.n, 2)  # the quadratics: C(n+1, 2) monomials
     d = peirce_decomposition(args.n, field_from_name(args.field))
     return CommandResult("ok", decomposition_payload(d)), _decomposition_text(d), _EXIT_OK
 

@@ -44,18 +44,12 @@ __all__ = [
     "iterated_circ",
     "jacobiator",
     "lie_bracket",
-    "monomial_degree",
     "monomials_of_degree",
     "random_homogeneous_polynomial",
     "random_polynomial",
 ]
 
 Monomial = tuple[int, ...]
-
-
-def monomial_degree(u: Monomial) -> int:
-    """Total degree of an exponent tuple."""
-    return sum(u)
 
 
 def grlex_key(u: Monomial) -> tuple:
@@ -69,17 +63,16 @@ def monomials_of_degree(n: int, k: int) -> list[Monomial]:
         raise DomainError("need at least one variable")
     if k < 0:
         raise DomainError("degree must be nonnegative")
-
-    out: list[Monomial] = []
-
-    def fill(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            fill(prefix + (e,), remaining - e, slots - 1)
-
-    fill((), k, n)
+    # Lexicographic predecessor: one unit from the last nonzero slot before the
+    # final one moves, with the final slot's units, into the slot after it.
+    u = [k] + [0] * (n - 1)
+    out: list[Monomial] = [tuple(u)]
+    while u[-1] != k:
+        i = n - 2
+        while not u[i]:
+            i -= 1
+        u[i], u[-1], u[i + 1] = u[i] - 1, 0, u[-1] + 1  # u[i + 1] may be u[-1]
+        out.append(tuple(u))
     return out
 
 

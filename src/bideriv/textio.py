@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoercionError, DegreeGuardError, ParseError
-from .fields import QQ, Field, FpElement, Scalar, scalar_to_str
+from .fields import QQ, Field, FpElement, scalar_to_str
 from .poly import Monomial, Polynomial
 
-__all__ = ["ParseContext", "format_polynomial", "format_scalar", "parse_polynomial"]
+__all__ = ["ParseContext", "format_polynomial", "parse_polynomial"]
 
 _MAX_PAREN_DEPTH = 64
 
@@ -245,10 +245,6 @@ def parse_polynomial(text: str, ctx: ParseContext) -> Polynomial:
     return _Parser(text, ctx).parse()
 
 
-def format_scalar(c: Scalar) -> str:
-    return scalar_to_str(c)
-
-
 def _format_monomial(u: Monomial) -> str:
     parts = []
     for i, e in enumerate(u, start=1):
@@ -273,11 +269,11 @@ def format_polynomial(f: Polynomial) -> str:
             negative, magnitude = c < 0, abs(c)
         mono = _format_monomial(u)
         if not mono:
-            body = format_scalar(magnitude)
+            body = scalar_to_str(magnitude)
         elif magnitude == 1:
             body = mono
         else:
-            body = f"{format_scalar(magnitude)}*{mono}"
+            body = f"{scalar_to_str(magnitude)}*{mono}"
         pieces.append((negative, body))
     first_negative, first_body = pieces[0]
     out = ("-" if first_negative else "") + first_body

@@ -173,6 +173,28 @@ def test_bad_matrix_json_exit_two(capsys, monkeypatch):
     assert code == 2
 
 
+def test_malformed_matrix_entries_exit_two(capsys, monkeypatch):
+    for text in ('{"entries": 5}', '{"entries": [5]}', '{"n": 1}', "[1]", "[" * 100000):
+        for command in ("aut-check", "xi-inv"):
+            code, _, err = run_cli_stdin(capsys, monkeypatch, text, command, "-n", "1")
+            assert code == 2 and "matrix JSON" in err, (text[:20], command)
+
+
+def test_closure_refuses_cells_above_the_bound(capsys):
+    code, out, err = run_cli(capsys, "closure", "-n", "8", "-k", "16", "x1^16")
+    assert code == 3 and out == ""
+    assert err == ("error: cell (n=8, k=16) has dimension 245157, above the "
+                   "configured bound 1024\n")
+
+
+def test_peirce_refuses_cells_above_the_bound(capsys):
+    for n in ("45", "3000"):  # C(46, 2) = 1035 and C(3001, 2) quadratics
+        code, _, err = run_cli(capsys, "peirce", "-n", n)
+        assert code == 3 and "above the configured bound 1024" in err
+    code, out, _ = run_cli(capsys, "peirce", "-n", "44")  # C(45, 2) = 990
+    assert code == 0 and len(out.splitlines()) == 990
+
+
 def test_matrix_dimension_mismatch_exit_three(capsys, monkeypatch):
     matrix = json.dumps({"n": 3, "entries": [[str(v) for v in row] for row in
                                              [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]})

@@ -186,6 +186,21 @@ def test_gradient_identity(f, g):
     assert circ(f, g) == gradient(g).apply(f)
 
 
+def test_monomials_of_degree_grlex_descending():
+    assert monomials_of_degree(3, 2) == [
+        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
+    ]
+    assert monomials_of_degree(2, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert monomials_of_degree(1, 4) == [(4,)]
+    assert monomials_of_degree(4, 0) == [(0, 0, 0, 0)]
+
+
+def test_monomials_of_degree_wider_than_the_recursion_limit():
+    wide = monomials_of_degree(1500, 1)
+    assert len(wide) == 1500
+    assert wide[0] == (1,) + (0,) * 1499 and wide[-1] == (0,) * 1499 + (1,)
+
+
 def test_degree_law_on_monomials():
     for n in (1, 2, 3):
         mons = [u for k in range(5) for u in monomials_of_degree(n, k)]

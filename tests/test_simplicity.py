@@ -1,3 +1,5 @@
+import random
+from collections import deque
 from fractions import Fraction
 from math import comb, factorial
 
@@ -6,6 +8,7 @@ import pytest
 from bideriv import (
     CartanElement,
     CharacteristicError,
+    DomainError,
     Polynomial,
     PreconditionError,
     SeparationError,
@@ -218,6 +221,45 @@ def test_subspace_rejects_wrong_degree():
 # ----------------------------------------------------------------------
 
 
+def echelon_closure(seed, n, k):
+    """Reference closure: echelon insertion of every Cartan and transfer image.
+
+    Each vector that enlarges the span is queued once and hit with every
+    generator; by linearity that closes the span.
+    """
+    cartans = [CartanElement.basis(n, i) for i in range(1, n + 1)]
+    transfers = [transfer_operator(i, j)
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    space = Subspace(n, k)
+    space._insert(seed)
+    queue = deque([seed])
+    while queue:
+        p = queue.popleft()
+        images = [cartan_action(h, p) for h in cartans] + [t.apply(p) for t in transfers]
+        queue.extend(image for image in images if space._insert(image))
+    return space
+
+
+def assert_matches_oracle(seed, n, k):
+    got, want = bimodule_closure(seed, n, k), echelon_closure(seed, n, k)
+    assert got.dimension == want.dimension, (n, k, seed)
+    assert got.basis == want.basis, (n, k, seed)
+
+
+def test_closure_matches_echelon_oracle_on_monomial_seeds():
+    for n in (1, 2, 3):
+        for k in range(0, 6):
+            for u in monomials_of_degree(n, k):
+                assert_matches_oracle(Polynomial.monomial(n, u), n, k)
+
+
+def test_closure_matches_echelon_oracle_on_random_seeds(rng):
+    for n in (1, 2, 3, 4):
+        for k in range(0, 7):
+            for _ in range(2):
+                assert_matches_oracle(random_homogeneous_polynomial(rng, n, k), n, k)
+
+
 def test_closure_spec_examples():
     s = bimodule_closure(var(2, 1) * var(2, 2), 2, 2)
     assert s.dimension == 3 == s.full_dimension
@@ -267,6 +309,36 @@ def test_simplicity_reports():
 
     report = is_simple_bimodule(1, 4, random_seeds=1)
     assert report.ok and report.expected_dimension == 1
+
+
+def test_simplicity_reports_agree_with_echelon_oracle():
+    for n, k, random_seeds, rng_seed in [(1, 4, 1, 0), (2, 3, 3, 0), (3, 3, 2, 5), (3, 4, 2, 11)]:
+        report = is_simple_bimodule(n, k, random_seeds=random_seeds, rng_seed=rng_seed)
+        sample = random.Random(rng_seed)
+        seeds = [Polynomial.monomial(n, u) for u in monomials_of_degree(n, k)]
+        seeds += [random_homogeneous_polynomial(sample, n, k) for _ in range(random_seeds)]
+        dims = [echelon_closure(seed, n, k).dimension for seed in seeds]
+        expected = comb(n + k - 1, n - 1)
+        assert report.expected_dimension == expected
+        assert report.seeds_checked == len(seeds)
+        assert report.failures == tuple(
+            (str(seed), dim) for seed, dim in zip(seeds, dims) if dim != expected)
+
+
+def test_closure_refuses_huge_cells_like_the_sweep():
+    with pytest.raises(PreconditionError) as closure_err:
+        bimodule_closure(var(8, 1) ** 16, 8, 16)
+    with pytest.raises(PreconditionError) as sweep_err:
+        is_simple_bimodule(8, 16)
+    assert str(closure_err.value) == str(sweep_err.value)
+    assert "above the configured bound 1024" in str(closure_err.value)
+
+
+def test_simplicity_refuses_empty_cells():
+    with pytest.raises(DomainError):
+        is_simple_bimodule(0, 2)
+    with pytest.raises(DomainError):
+        is_simple_bimodule(1, -1)
 
 
 def test_simplicity_refuses_char_p_and_huge_cells():
