@@ -10,7 +10,8 @@ computes exactly, and prints either human-readable text or, with
 Exit codes: 0 success / positive verdict; 1 negative verdict or
 out-of-domain input; 2 expression or JSON parse error; 3 precondition
 violation (wrong characteristic, dimension or field mismatch, degree
-guard).  Output is byte-deterministic for identical invocations.
+guard).  A library error exits with its class's ``exit_code``.  Output is
+byte-deterministic for identical invocations.
 """
 
 from __future__ import annotations
@@ -18,22 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dataclass_field
-from typing import Any
 
 from .automorphisms import aut_dim1, check_automorphism, is_orthogonal
-from .errors import (
-    BiderivError,
-    CharacteristicError,
-    CoercionError,
-    DegreeGuardError,
-    DimensionMismatchError,
-    DomainError,
-    FieldMismatchError,
-    ParseError,
-    PreconditionError,
-    SeparationError,
-)
+from .errors import BiderivError, CoercionError, DimensionMismatchError, ParseError
 from .fields import Field, field_from_name, scalar_to_str
 from .jordan import (
     bimodule_defects,
@@ -49,27 +37,10 @@ from .textio import ParseContext, format_polynomial, parse_polynomial
 from .verdicts import SimplicityReport, Verdict
 from .weights import WeightDecomposition, decompose, peirce_decomposition
 
-__all__ = ["CommandResult", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 _EXIT_OK = 0
 _EXIT_NEGATIVE = 1
-_EXIT_PARSE = 2
-_EXIT_PRECONDITION = 3
-
-
-@dataclass
-class CommandResult:
-    """Uniform result record serialized by --json."""
-
-    status: str  # "ok" | "error"
-    payload: Any = None
-    diagnostics: list[str] = dataclass_field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"status": self.status, "payload": self.payload, "diagnostics": self.diagnostics},
-            sort_keys=True,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -225,17 +196,17 @@ def _parse_all(args, *texts: str) -> list[Polynomial]:
     return [parse_polynomial(t, ctx) for t in texts]
 
 
-def _poly_result(f: Polynomial) -> tuple[CommandResult, str, int]:
-    return CommandResult("ok", polynomial_payload(f)), format_polynomial(f), _EXIT_OK
+def _poly_result(f: Polynomial) -> tuple[dict, str, int]:
+    return polynomial_payload(f), format_polynomial(f), _EXIT_OK
 
 
-def _verdict_result(v: Verdict, positive: str, negative: str) -> tuple[CommandResult, str, int]:
+def _verdict_result(v: Verdict, positive: str, negative: str) -> tuple[dict, str, int]:
     code = _EXIT_OK if v.ok else _EXIT_NEGATIVE
-    return CommandResult("ok", verdict_payload(v)), _verdict_text(v, positive, negative), code
+    return verdict_payload(v), _verdict_text(v, positive, negative), code
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (payload, text, exit code)
 # ----------------------------------------------------------------------
 
 
@@ -247,13 +218,13 @@ def _cmd_circ(args):
 def _cmd_grad(args):
     (f,) = _parse_all(args, args.f)
     v = gradient(f)
-    return CommandResult("ok", vector_field_payload(v)), _vector_field_text(v), _EXIT_OK
+    return vector_field_payload(v), _vector_field_text(v), _EXIT_OK
 
 
 def _cmd_bracket(args):
     f, g = _parse_all(args, args.f, args.g)
     v = lie_bracket(gradient(f), gradient(g))
-    return CommandResult("ok", vector_field_payload(v)), _vector_field_text(v), _EXIT_OK
+    return vector_field_payload(v), _vector_field_text(v), _EXIT_OK
 
 
 def _cmd_assoc(args):
@@ -269,7 +240,7 @@ def _cmd_jacobi(args):
 def _cmd_xi(args):
     (q,) = _parse_all(args, args.q)
     m = quadratic_to_matrix(q)
-    return CommandResult("ok", matrix_payload(m)), _matrix_text(m), _EXIT_OK
+    return matrix_payload(m), _matrix_text(m), _EXIT_OK
 
 
 def _cmd_xi_inv(args):
@@ -297,26 +268,26 @@ def _cmd_bimodule_defect(args):
     text = "\n".join(
         f"{name}: {format_polynomial(p)}" for name, p in (("r1", r1), ("r2", r2), ("r3", r3))
     )
-    return CommandResult("ok", payload), text, _EXIT_OK
+    return payload, text, _EXIT_OK
 
 
 def _cmd_decompose(args):
     (f,) = _parse_all(args, args.f)
     d = decompose(f)
-    return CommandResult("ok", decomposition_payload(d)), _decomposition_text(d), _EXIT_OK
+    return decomposition_payload(d), _decomposition_text(d), _EXIT_OK
 
 
 def _cmd_peirce(args):
     guarded_cell_dimension(args.n, 2)  # the quadratics: C(n+1, 2) monomials
     d = peirce_decomposition(args.n, field_from_name(args.field))
-    return CommandResult("ok", decomposition_payload(d)), _decomposition_text(d), _EXIT_OK
+    return decomposition_payload(d), _decomposition_text(d), _EXIT_OK
 
 
 def _cmd_reduce(args):
     (f,) = _parse_all(args, args.f)
     witness = ideal_reduce(f)
     payload = scalar_payload(witness, f.field)
-    return CommandResult("ok", payload), scalar_to_str(witness), _EXIT_OK
+    return payload, scalar_to_str(witness), _EXIT_OK
 
 
 def _cmd_closure(args):
@@ -324,7 +295,7 @@ def _cmd_closure(args):
     space = bimodule_closure(seed, args.n, args.k)
     text_lines = [f"dimension: {space.dimension} of {space.full_dimension}"]
     text_lines.extend(format_polynomial(p) for p in space.basis)
-    return CommandResult("ok", closure_payload(space)), "\n".join(text_lines), _EXIT_OK
+    return closure_payload(space), "\n".join(text_lines), _EXIT_OK
 
 
 def _cmd_simple(args):
@@ -339,7 +310,7 @@ def _cmd_simple(args):
     for seed_text, dim in report.failures:
         lines.append(f"stuck at {dim}: {seed_text}")
     code = _EXIT_OK if report.ok else _EXIT_NEGATIVE
-    return CommandResult("ok", report_payload(report)), "\n".join(lines), code
+    return report_payload(report), "\n".join(lines), code
 
 
 def _cmd_aut_check(args):
@@ -348,10 +319,9 @@ def _cmd_aut_check(args):
     if m.n != args.n:
         raise DimensionMismatchError(f"matrix is {m.n}x{m.n}, expected n={args.n}")
     verdict = check_automorphism(m, rng_seed=args.seed)
-    result = _verdict_result(verdict, "automorphism: yes", "automorphism: no")
-    payload = result[0].payload
+    payload, text, code = _verdict_result(verdict, "automorphism: yes", "automorphism: no")
     payload["orthogonal"] = is_orthogonal(m)
-    return result
+    return payload, text, code
 
 
 def _cmd_aut1(args):
@@ -418,54 +388,29 @@ def build_parser() -> argparse.ArgumentParser:
     simple.add_argument("-k", type=int, required=True, help="homogeneous degree")
     simple.add_argument("--seeds", type=int, default=3, help="extra random seeds")
     cmd("aut-check", _cmd_aut_check, "check a matrix candidate (JSON on stdin)", [])
-    aut1 = sub.add_parser("aut1", help="check x -> lam*x + mu on one variable")
-    _add_common(aut1, n_flag=False)
-    aut1.add_argument("lam", help="scalar multiplier")
-    aut1.add_argument("mu", help="scalar shift")
-    aut1.set_defaults(handler=_cmd_aut1)
+    cmd("aut1", _cmd_aut1, "check x -> lam*x + mu on one variable",
+        [("lam", "scalar multiplier"), ("mu", "scalar shift")], n_flag=False)
 
     return parser
-
-
-_ERROR_CODES: list[tuple[type, int]] = [
-    (ParseError, _EXIT_PARSE),
-    (DegreeGuardError, _EXIT_PRECONDITION),
-    (CharacteristicError, _EXIT_PRECONDITION),
-    (DimensionMismatchError, _EXIT_PRECONDITION),
-    (FieldMismatchError, _EXIT_PRECONDITION),
-    (PreconditionError, _EXIT_PRECONDITION),
-    (CoercionError, _EXIT_PRECONDITION),
-    (SeparationError, _EXIT_NEGATIVE),
-    (DomainError, _EXIT_NEGATIVE),
-]
-
-
-def _error_code(exc: BiderivError) -> int:
-    for cls, code in _ERROR_CODES:
-        if isinstance(exc, cls):
-            return code
-    return _EXIT_NEGATIVE
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result, text, code = args.handler(args)
+        payload, text, code = args.handler(args)
+        status, diagnostics = "ok", []
     except BiderivError as exc:
-        diagnostics = [str(exc)]
+        text, code = None, exc.exit_code
+        status, diagnostics = "error", [str(exc)]
         payload = {"type": "error", "error": type(exc).__name__, "message": str(exc)}
         offset = getattr(exc, "offset", None)
         if offset is not None:
             payload["offset"] = offset
-        result = CommandResult("error", payload, diagnostics)
-        code = _error_code(exc)
-        if args.json:
-            print(result.to_json())
-        else:
+        if not args.json:
             print(f"error: {exc}", file=sys.stderr)
-        return code
     if args.json:
-        print(result.to_json())
+        print(json.dumps({"status": status, "payload": payload, "diagnostics": diagnostics},
+                         sort_keys=True))
     elif text:
         print(text)
     return code

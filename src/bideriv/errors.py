@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Every error raised deliberately by this library derives from
-:class:`BiderivError`, so callers (and the CLI exit-code mapping) can tell
-our diagnostics apart from genuine bugs.
+:class:`BiderivError`, so callers can tell our diagnostics apart from
+genuine bugs.  Each class carries the ``exit_code`` the CLI ends with when
+it escapes a subcommand: 1 for out-of-domain input, 2 for parse errors and
+3 for violated preconditions.
 """
 
 from __future__ import annotations
@@ -24,21 +26,31 @@ __all__ = [
 class BiderivError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 1
+
 
 class DimensionMismatchError(BiderivError):
     """Operands live over different numbers of variables."""
+
+    exit_code = 3
 
 
 class FieldMismatchError(BiderivError):
     """Operands have coefficients in different fields."""
 
+    exit_code = 3
+
 
 class CharacteristicError(BiderivError):
     """The coefficient field has the wrong characteristic for the operation."""
 
+    exit_code = 3
+
 
 class CoercionError(BiderivError):
     """A value cannot be represented in the requested coefficient field."""
+
+    exit_code = 3
 
 
 class DomainError(BiderivError):
@@ -47,6 +59,8 @@ class DomainError(BiderivError):
 
 class PreconditionError(BiderivError):
     """A stated precondition of the operation was violated."""
+
+    exit_code = 3
 
 
 class SeparationError(BiderivError):
@@ -63,6 +77,8 @@ class ParseError(BiderivError):
             accepted at that position (may be empty for semantic errors).
     """
 
+    exit_code = 2
+
     def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
         self.offset = offset
         self.expected = tuple(sorted(expected))
@@ -74,6 +90,8 @@ class ParseError(BiderivError):
 
 class DegreeGuardError(BiderivError):
     """An expression exceeded the configured maximum degree guard."""
+
+    exit_code = 3
 
     def __init__(self, message: str, offset: int | None = None):
         self.offset = offset

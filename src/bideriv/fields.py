@@ -8,7 +8,9 @@ Characteristic 2 is rejected everywhere: the algebra needs one half.
 A field object is a callable that coerces ints, Fractions, strings such as
 ``"3/4"``, and (for ``GF(p)``) existing residues into field elements.  The
 elements themselves support exact ``+ - * / **`` and mix freely with Python
-ints through the canonical ring map from the integers.
+ints through the canonical ring map from the integers.  A residue compares
+equal only to its canonical int (``FpElement(1, 5) == 1`` but ``!= 6``), so
+equality agrees with hashing.
 """
 
 from __future__ import annotations
@@ -133,11 +135,12 @@ class FpElement:
         if isinstance(other, FpElement):
             return self.p == other.p and self.value == other.value
         if isinstance(other, int):
-            return self.value == other % self.p
+            # Only the reduced representative: FpElement(1, 5) != 6.
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        # Must agree with int hashing because FpElement(k, p) == k for small k.
+        # Agrees with int hashing, since FpElement(k, p) == k exactly when k == value.
         return hash(self.value)
 
     def __bool__(self):
@@ -164,9 +167,6 @@ class RationalField:
     @property
     def one(self) -> Fraction:
         return Fraction(1)
-
-    def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
 
     def __call__(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -219,9 +219,6 @@ class PrimeField:
     @property
     def one(self) -> FpElement:
         return FpElement(1, self.p)
-
-    def from_int(self, k: int) -> FpElement:
-        return FpElement(k, self.p)
 
     def __call__(self, value) -> FpElement:
         if isinstance(value, FpElement):

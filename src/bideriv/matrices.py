@@ -37,11 +37,6 @@ class SquareMatrix:
         one, zero = field.one, field.zero
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)], field)
 
-    @classmethod
-    def zero(cls, n: int, field: Field = QQ) -> "SquareMatrix":
-        zero = field.zero
-        return cls([[zero] * n for _ in range(n)], field)
-
     def _check_compatible(self, other: "SquareMatrix"):
         if self.n != other.n:
             raise DimensionMismatchError(f"cannot combine {self.n}x{self.n} and {other.n}x{other.n} matrices")

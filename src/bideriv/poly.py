@@ -196,10 +196,6 @@ class Polynomial:
             return None
         return max(self._terms, key=grlex_key)
 
-    def leading_coefficient(self) -> Scalar:
-        u = self.leading_monomial()
-        return self.field.zero if u is None else self._terms[u]
-
     # ------------------------------------------------------------------
     # ring operations
     # ------------------------------------------------------------------
@@ -298,10 +294,6 @@ class Polynomial:
                 continue
             out[u[:idx] + (e - 1,) + u[idx + 1:]] = nc
         return Polynomial._make(self.n, self.field, out)
-
-    def circ(self, other: "Polynomial") -> "Polynomial":
-        """Gradient product; see the module-level :func:`circ`."""
-        return circ(self, other)
 
     # ------------------------------------------------------------------
     # display
@@ -440,18 +432,7 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
             f"vector fields over {v.n} and {w.n} variables cannot be bracketed"
         )
     v.components[0]._check_compatible(w.components[0])
-    n = v.n
-    comps = []
-    for k in range(n):
-        acc = Polynomial.zero(n, v.field)
-        for i in range(n):
-            vi, wi = v.components[i], w.components[i]
-            if not vi.is_zero:
-                acc = acc + vi * w.components[k].derivative(i + 1)
-            if not wi.is_zero:
-                acc = acc - wi * v.components[k].derivative(i + 1)
-        comps.append(acc)
-    return VectorField(comps)
+    return VectorField(v.apply(wk) - w.apply(vk) for vk, wk in zip(v.components, w.components))
 
 
 def bracket_with_square(f: Polynomial) -> VectorField:

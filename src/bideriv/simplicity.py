@@ -365,6 +365,13 @@ def is_simple_bimodule(n: int, k: int, random_seeds: int = 3,
     """
     _require_char_zero(field, "the simplicity sweep")
     expected = guarded_cell_dimension(n, k)
+    # Seeds are sampled with O(k) work per term, so k and their count need bounds too.
+    for what, value in (("degree", k), ("random seed count", random_seeds)):
+        if value > MAX_CELL_DIMENSION:
+            raise PreconditionError(
+                f"cell (n={n}, k={k}): {what} {value} is above the configured bound "
+                f"{MAX_CELL_DIMENSION}"
+            )
     seeds = [Polynomial.monomial(n, u, 1, field) for u in monomials_of_degree(n, k)]
     rng = random.Random(rng_seed)
     seeds += [random_homogeneous_polynomial(rng, n, k, field) for _ in range(random_seeds)]

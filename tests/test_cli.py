@@ -3,7 +3,7 @@ import json
 import subprocess
 import sys
 
-from bideriv import Polynomial
+from bideriv import Polynomial, errors
 from bideriv.cli import main, polynomial_from_payload, polynomial_payload
 from conftest import F5, var
 
@@ -200,6 +200,27 @@ def test_matrix_dimension_mismatch_exit_three(capsys, monkeypatch):
                                              [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]})
     code, _, err = run_cli_stdin(capsys, monkeypatch, matrix, "aut-check", "-n", "2")
     assert code == 3
+
+
+def test_unbounded_simple_inputs_exit_three():
+    for argv in (["-n", "1", "-k", "100000000"], ["-n", "2", "-k", "2", "--seeds", "100000000"]):
+        proc = subprocess.run([sys.executable, "-m", "bideriv", "simple", *argv],
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: cell (n=")
+        assert proc.stderr.endswith("is above the configured bound 1024\n")
+
+
+def test_error_classes_carry_the_documented_exit_codes():
+    # The module docstring's table: 1 out-of-domain input, 2 parse error,
+    # 3 precondition violation.
+    expected = {
+        "BiderivError": 1, "DomainError": 1, "SeparationError": 1,
+        "ParseError": 2,
+        "CharacteristicError": 3, "CoercionError": 3, "DegreeGuardError": 3,
+        "DimensionMismatchError": 3, "FieldMismatchError": 3, "PreconditionError": 3,
+    }
+    assert {name: getattr(errors, name).exit_code for name in errors.__all__} == expected
 
 
 # ----------------------------------------------------------------------

@@ -90,7 +90,20 @@ def test_field_from_name_round_trip():
 def test_fp_equality_with_ints_and_hash():
     f5 = PrimeField(5)
     assert f5(8) == 3
-    assert f5(8) == 8
+    assert f5(8) != 8  # only the reduced representative compares equal
     assert hash(f5(3)) == hash(3)
     assert not f5(0)
     assert f5(1)
+
+
+def test_fp_equality_with_ints_implies_equal_hash():
+    assert FpElement(1, 5) != 6
+    assert FpElement(1, 5) == 1
+    for p in (3, 5, 7, 11, 13):
+        for value in range(-2 * p, 2 * p):
+            x = FpElement(value, p)
+            for k in range(-2 * p, 3 * p):
+                if x == k:
+                    assert k == x.value
+                    assert hash(x) == hash(k)
+                assert (x == k) == (k == x)
