@@ -17,11 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatchError, DomainError, FieldMismatchError
 from .fields import QQ, Field
 from .matrices import SquareMatrix
-from .poly import Polynomial, circ, random_polynomial
+from .poly import Polynomial, _mul_ints, _scaled, _unscaled, circ, random_polynomial
 from .verdicts import Verdict
 
 __all__ = [
@@ -77,23 +78,31 @@ class Substitution:
             )
         if f.field != self.field:
             raise FieldMismatchError("substitution and polynomial over different fields")
-        one = Polynomial.constant(self.n, 1, self.field)
-        powers: list[dict[int, Polynomial]] = [{0: one} for _ in range(self.n)]
+        # With every image h_i = H_i / d and f = F / a over integer maps, a term
+        # F_u X^u goes to F_u d^(top - |u|) prod H_i^u_i over a d^top.
+        n = self.n
+        scaled = [_scaled(h) for h in self.images]
+        d = lcm(*(s for _, s in scaled))
+        images = [{u: c * (d // s) for u, c in h.items()} for h, s in scaled]
+        one = {(0,) * n: 1}
+        powers = [[one] for _ in range(n)]
 
-        def power(i: int, e: int) -> Polynomial:
+        def power(i: int, e: int) -> dict:
             cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * self.images[i]
+            while len(cache) <= e:
+                cache.append(_mul_ints({}, cache[-1], images[i]))
             return cache[e]
 
-        acc = Polynomial.zero(self.n, self.field)
-        for u, c in f.terms.items():
-            term = one
-            for i, e in enumerate(u):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + c * term
-        return acc
+        ints, a = _scaled(f)
+        top = max(map(sum, ints), default=0)
+        out: dict = {}
+        for u, c in ints.items():
+            factors = [power(i, e) for i, e in enumerate(u) if e] or [one]
+            term = {(0,) * n: c * d ** (top - sum(u))}
+            for p in factors[:-1]:
+                term = _mul_ints({}, term, p)
+            _mul_ints(out, term, factors[-1])
+        return _unscaled(n, self.field, out, a * d ** top)
 
     def after(self, inner: "Substitution") -> "Substitution":
         """Composite endomorphism: first `inner`, then self."""

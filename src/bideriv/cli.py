@@ -10,8 +10,9 @@ computes exactly, and prints either human-readable text or, with
 Exit codes: 0 success / positive verdict; 1 negative verdict or
 out-of-domain input; 2 expression or JSON parse error; 3 precondition
 violation (wrong characteristic, dimension or field mismatch, degree
-guard).  A library error exits with its class's ``exit_code``.  Output is
-byte-deterministic for identical invocations.
+guard, ``-n`` above ``MAX_CELL_DIMENSION``).  A library error exits with
+its class's ``exit_code``.  Output is byte-deterministic for identical
+invocations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import json
 import sys
 
 from .automorphisms import aut_dim1, check_automorphism, is_orthogonal
-from .errors import BiderivError, CoercionError, DimensionMismatchError, ParseError
+from .errors import (BiderivError, CoercionError, DimensionMismatchError, ParseError,
+                     PreconditionError)
 from .fields import Field, field_from_name, scalar_to_str
 from .jordan import (
     bimodule_defects,
@@ -31,8 +33,8 @@ from .jordan import (
 )
 from .matrices import SquareMatrix, SymMatrix
 from .poly import Polynomial, VectorField, associator, circ, gradient, jacobiator, lie_bracket
-from .simplicity import (Subspace, bimodule_closure, guarded_cell_dimension, ideal_reduce,
-                         is_simple_bimodule)
+from .simplicity import (MAX_CELL_DIMENSION, Subspace, bimodule_closure,
+                         guarded_cell_dimension, ideal_reduce, is_simple_bimodule)
 from .textio import ParseContext, format_polynomial, parse_polynomial
 from .verdicts import SimplicityReport, Verdict
 from .weights import WeightDecomposition, decompose, peirce_decomposition
@@ -397,6 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # One bound on n for every subcommand: some of them (bracket) are quadratic in it.
+        if getattr(args, "n", 0) > MAX_CELL_DIMENSION:
+            raise PreconditionError(
+                f"-n {args.n} is above the configured bound {MAX_CELL_DIMENSION}")
         payload, text, code = args.handler(args)
         status, diagnostics = "ok", []
     except BiderivError as exc:

@@ -12,6 +12,11 @@ display names ``x1..xn``.  The canonical term order is graded
 lexicographic: higher total degree first, ties broken lexicographically on
 the exponent tuple.
 
+Products, ``circ``, substitution and ``bracket_with_square`` run on integer
+coefficients: numerators over one shared denominator for QQ, unreduced
+residues for GF(p).  Field scalars are built once per output term, so the
+public term maps still hold ``Fraction``/``FpElement`` values.
+
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here may be shared freely between
 threads.
@@ -21,6 +26,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -74,6 +81,56 @@ def monomials_of_degree(n: int, k: int) -> list[Monomial]:
         u[i], u[-1], u[i + 1] = u[i] - 1, 0, u[-1] + 1  # u[i + 1] may be u[-1]
         out.append(tuple(u))
     return out
+
+
+# ----------------------------------------------------------------------
+# integer coefficient kernel: clear denominators once, work in ints, and
+# build field scalars once per output term
+# ----------------------------------------------------------------------
+
+
+def _scaled(p: "Polynomial") -> tuple[dict[Monomial, int], int]:
+    """(ints, scale) with each coefficient of p equal to ints[u] / scale.
+
+    Over QQ the scale is the lcm of the denominators; over GF(p) the ints are
+    the residues and the scale is 1.
+    """
+    if isinstance(p.field, RationalField):
+        scale = lcm(*(c.denominator for c in p._terms.values()))
+        return {u: c.numerator * (scale // c.denominator) for u, c in p._terms.items()}, scale
+    return {u: c.value for u, c in p._terms.items()}, 1
+
+
+def _mul_ints(out: dict[Monomial, int], f: dict[Monomial, int],
+              g: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Add the schoolbook product of two integer term maps into `out`, and
+    return it; zero coefficients are left in."""
+    get = out.get
+    for u, a in f.items():
+        for v, b in g.items():
+            w = tuple(map(add, u, v))
+            out[w] = get(w, 0) + a * b
+    return out
+
+
+def _partials(ints: dict[Monomial, int], n: int) -> list[dict[Monomial, int]]:
+    """The integer term maps of d/dx_1 .. d/dx_n."""
+    parts: list[dict[Monomial, int]] = [{} for _ in range(n)]
+    for u, c in ints.items():
+        for i, e in enumerate(u):
+            if e:
+                parts[i][u[:i] + (e - 1,) + u[i + 1:]] = c * e
+    return parts
+
+
+def _unscaled(n: int, field: Field, ints: dict[Monomial, int], scale: int) -> "Polynomial":
+    """The polynomial sum ints[u] / scale X^u, without the terms zero in the field."""
+    if isinstance(field, RationalField):
+        terms = {u: Fraction(c, scale) for u, c in ints.items() if c}
+    else:
+        p = field.p
+        terms = {u: FpElement(c, p) for u, c in ints.items() if c % p}
+    return Polynomial._make(n, field, terms)
 
 
 class Polynomial:
@@ -235,14 +292,8 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_compatible(other)
-            out: dict[Monomial, Scalar] = {}
-            for u, a in self._terms.items():
-                for v, b in other._terms.items():
-                    w = tuple(x + y for x, y in zip(u, v))
-                    s = out.get(w)
-                    ab = a * b
-                    out[w] = ab if s is None else s + ab
-            return Polynomial._make(self.n, self.field, {u: c for u, c in out.items() if c})
+            (f, fs), (g, gs) = _scaled(self), _scaled(other)
+            return _unscaled(self.n, self.field, _mul_ints({}, f, g), fs * gs)
         if isinstance(other, (int, Fraction, FpElement)):
             c = self.field(other)
             if not c:
@@ -394,16 +445,11 @@ def circ(f: Polynomial, g: Polynomial) -> Polynomial:
     i + j - 2 (or vanish).
     """
     f._check_compatible(g)
-    acc = Polynomial.zero(f.n, f.field)
-    for i in range(1, f.n + 1):
-        df = f.derivative(i)
-        if df.is_zero:
-            continue
-        dg = g.derivative(i)
-        if dg.is_zero:
-            continue
-        acc = acc + df * dg
-    return acc
+    (fi, fs), (gi, gs) = _scaled(f), _scaled(g)
+    out: dict[Monomial, int] = {}
+    for df, dg in zip(_partials(fi, f.n), _partials(gi, f.n)):
+        _mul_ints(out, df, dg)
+    return _unscaled(f.n, f.field, out, fs * gs)
 
 
 def iterated_circ(k: int, m: int, f: Polynomial) -> Polynomial:
@@ -417,11 +463,10 @@ def iterated_circ(k: int, m: int, f: Polynomial) -> Polynomial:
         raise IndexError(f"variable index {k} out of range 1..{f.n}")
     if not isinstance(m, int) or m < 0:
         raise PreconditionError(f"multiplicity must be a nonnegative integer, got {m!r}")
-    xk = Polynomial.variable(f.n, k, f.field)
     for _ in range(m):
         if f.is_zero:
             break
-        f = circ(xk, f)
+        f = f.derivative(k)
     return f
 
 
@@ -442,21 +487,21 @@ def bracket_with_square(f: Polynomial) -> VectorField:
     vanishes identically when deg f <= 2 (all third derivatives die).
     """
     n = f.n
-    first = [f.derivative(i) for i in range(1, n + 1)]
-    second = [[first[i].derivative(j + 1) for j in range(n)] for i in range(n)]
-    comps = []
-    for k in range(1, n + 1):
-        acc = Polynomial.zero(n, f.field)
-        for i in range(n):
-            if first[i].is_zero:
+    ints, scale = _scaled(f)
+    first = _partials(ints, n)
+    outs: list[dict[Monomial, int]] = [{} for _ in range(n)]
+    # The sum is symmetric in i, j: take i <= j, off-diagonal pairs twice.
+    for i in range(n):
+        second = _partials(first[i], n)
+        for j in range(i, n):
+            third = _partials(second[j], n)
+            if not any(third):
                 continue
-            for j in range(n):
-                third = second[i][j].derivative(k)
-                if third.is_zero:
-                    continue
-                acc = acc + first[i] * first[j] * third
-        comps.append(2 * acc)
-    return VectorField(comps)
+            weight = 2 if i == j else 4
+            pair = {u: weight * c for u, c in _mul_ints({}, first[i], first[j]).items()}
+            for out, t in zip(outs, third):
+                _mul_ints(out, pair, t)
+    return VectorField(_unscaled(n, f.field, out, scale ** 3) for out in outs)
 
 
 def associator(f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:

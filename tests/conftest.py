@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from bideriv import QQ, Polynomial, PrimeField, SquareMatrix, SymMatrix
+from bideriv import QQ, FpElement, Polynomial, PrimeField, SquareMatrix, SymMatrix
 
 settings.register_profile(
     "exact",
@@ -14,8 +15,11 @@ settings.register_profile(
 )
 settings.load_profile("exact")
 
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F10007 = PrimeField(10007)
+KERNEL_FIELDS = [QQ, F3, F5, F10007]
 
 
 def var(n, i, field=QQ):
@@ -54,3 +58,28 @@ def rand_matrix(rng: random.Random, n, field=QQ) -> SquareMatrix:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# ----------------------------------------------------------------------
+# Fraction/FpElement-level oracles for the integer coefficient kernel
+# ----------------------------------------------------------------------
+
+
+def schoolbook_mul(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Term-pair product with field-scalar arithmetic throughout."""
+    out = {}
+    for u, a in f.terms.items():
+        for v, b in g.terms.items():
+            w = tuple(x + y for x, y in zip(u, v))
+            out[w] = out[w] + a * b if w in out else a * b
+    return Polynomial(f.n, {u: c for u, c in out.items() if c}, f.field)
+
+
+def assert_canonical(p: Polynomial):
+    """No stored zero, and every coefficient is a scalar of p's field."""
+    for c in p.terms.values():
+        assert c
+        if isinstance(p.field, PrimeField):
+            assert type(c) is FpElement and c.p == p.field.p
+        else:
+            assert type(c) is Fraction

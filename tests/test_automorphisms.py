@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from bideriv import (
+    QQ,
     DimensionMismatchError,
     Polynomial,
     SquareMatrix,
@@ -19,7 +21,7 @@ from bideriv import (
     rational_orthogonal_sample,
     substitute,
 )
-from conftest import var
+from conftest import F3, KERNEL_FIELDS, assert_canonical, schoolbook_mul, var
 
 ROTATION = SquareMatrix([["3/5", "-4/5"], ["4/5", "3/5"]])
 
@@ -53,6 +55,59 @@ def test_substitution_is_multiplicative(rng):
         f = random_polynomial(rng, 2, 3)
         g = random_polynomial(rng, 2, 3)
         assert substitute(f * g, s) == substitute(f, s) * substitute(g, s)
+
+
+def apply_by_products(s, f):
+    """f(h1, ..., hn) with field-scalar products of the images."""
+    one = Polynomial.constant(s.n, 1, s.field)
+    acc = Polynomial.zero(s.n, s.field)
+    for u, c in f.terms.items():
+        term = one
+        for h, e in zip(s.images, u):
+            for _ in range(e):
+                term = schoolbook_mul(term, h)
+        acc = acc + c * term
+    return acc
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_substitution_matches_product_oracle(field):
+    rng = random.Random(5)
+    cases = []
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        images = [random_polynomial(rng, n, 2, field, max_terms=3) for _ in range(n)]
+        cases.append((Substitution(images), random_polynomial(rng, n, 4, field)))
+    for n in (1, 3):
+        s = Substitution.identity(n, field)
+        cases += [(s, Polynomial.zero(n, field)), (s, Polynomial.constant(n, 7, field)),
+                  (Substitution([Polynomial.zero(n, field)] * n), var(n, 1, field) ** 2)]
+    if field == QQ:
+        for seed in range(6):
+            n = 2 + seed % 3
+            m = rational_orthogonal_sample(seed, n) * rational_orthogonal_sample(seed + 9, n)
+            cases.append((induced_map(m), random_polynomial(rng, n, 4, field, max_terms=6)))
+        mixed = Polynomial(2, {(1, 0): Fraction(1, 3), (0, 1): Fraction(-5, 4),
+                               (0, 0): Fraction(7, 6)})
+        cases.append((Substitution((mixed, var(2, 1) * Fraction(2, 9))),
+                      Polynomial(2, {(2, 1): Fraction(3, 8), (0, 2): Fraction(-1, 6),
+                                     (1, 0): 5})))
+    for s, f in cases:
+        got = s.apply(f)
+        assert got == apply_by_products(s, f)
+        assert_canonical(got)
+
+
+def test_substitution_cancels_exactly():
+    x1, x2 = var(2, 1), var(2, 2)
+    s = Substitution((x1 + x2, x1 - x2))
+    assert s.apply(x1 ** 2 - x2 ** 2) == 4 * x1 * x2
+    assert s.apply(x1 * x2) == x1 ** 2 - x2 ** 2
+    # Frobenius over GF(3): (y1 + y2)^3 = y1^3 + y2^3, the binomials 3 vanish.
+    y1, y2 = var(2, 1, F3), var(2, 2, F3)
+    got = Substitution((y1 + y2, y2)).apply(y1 ** 3)
+    assert got == y1 ** 3 + y2 ** 3
+    assert_canonical(got)
 
 
 def test_substitute_dimension_mismatch():

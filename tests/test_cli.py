@@ -195,6 +195,22 @@ def test_peirce_refuses_cells_above_the_bound(capsys):
     assert code == 0 and len(out.splitlines()) == 990
 
 
+def test_variable_count_above_the_bound_exits_three(capsys):
+    for argv in (["bracket", "-n", "1025", "x1^2", "x2^2"], ["circ", "-n", "6000", "x1", "x1"],
+                 ["xi-inv", "-n", "2000"], ["simple", "-n", "1025", "-k", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: -n {argv[2]} is above the configured bound 1024\n"
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 3
+        assert json.loads(out)["payload"] == {
+            "type": "error", "error": "PreconditionError",
+            "message": f"-n {argv[2]} is above the configured bound 1024"}
+    code, out, _ = run_cli(capsys, "bracket", "-n", "1024", "x1^2", "x1*x2")
+    assert code == 0 and out.splitlines()[:3] == ["d/dx1: -2*x2", "d/dx2: 2*x1", "d/dx3: 0"]
+    assert len(out.splitlines()) == 1024
+
+
 def test_matrix_dimension_mismatch_exit_three(capsys, monkeypatch):
     matrix = json.dumps({"n": 3, "entries": [[str(v) for v in row] for row in
                                              [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]})

@@ -1,22 +1,29 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
 from bideriv import (
+    QQ,
     DimensionMismatchError,
     FieldMismatchError,
     Polynomial,
+    PreconditionError,
     VectorField,
     associator,
     bracket_with_square,
     circ,
     gradient,
+    induced_map,
     iterated_circ,
     jacobiator,
     lie_bracket,
     monomials_of_degree,
     random_polynomial,
+    rational_orthogonal_sample,
 )
-from conftest import F5, polynomials, var
+from conftest import F3, F5, KERNEL_FIELDS, assert_canonical, polynomials, schoolbook_mul, var
 
 
 # ----------------------------------------------------------------------
@@ -70,6 +77,99 @@ def test_pow_matches_repeated_mul():
 def test_fp_coefficients_canonical():
     p = Polynomial(1, {(1,): -1}, F5)
     assert p.coefficient((1,)) == 4
+
+
+# ----------------------------------------------------------------------
+# the integer coefficient kernel against field-scalar oracles
+# ----------------------------------------------------------------------
+
+
+def circ_by_derivatives(f, g):
+    """f o g as the sum of the products of partial derivatives."""
+    acc = Polynomial.zero(f.n, f.field)
+    for i in range(1, f.n + 1):
+        acc = acc + schoolbook_mul(f.derivative(i), g.derivative(i))
+    return acc
+
+
+def bracket_with_square_loop(f):
+    """2 sum_{ijk} f_i f_j f_{ijk} d/dx_k, one derivative product at a time."""
+    n = f.n
+    first = [f.derivative(i) for i in range(1, n + 1)]
+    comps = []
+    for k in range(1, n + 1):
+        acc = Polynomial.zero(n, f.field)
+        for i in range(n):
+            for j in range(n):
+                third = first[i].derivative(j + 1).derivative(k)
+                acc = acc + schoolbook_mul(schoolbook_mul(first[i], first[j]), third)
+        comps.append(2 * acc)
+    return VectorField(comps)
+
+
+def kernel_inputs(field, seed):
+    """Seeded polynomials over `field`: random sparse ones with n = 1..4, the
+    zero polynomial, constants, and over QQ mixed denominators and the images of
+    products of rational orthogonal samples."""
+    rng = random.Random(seed)
+    polys = [random_polynomial(rng, rng.randint(1, 4), 4, field, max_terms=6)
+             for _ in range(30)]
+    for n in (1, 2, 3):
+        polys += [Polynomial.zero(n, field), Polynomial.constant(n, 7, field),
+                  random_polynomial(rng, n, 3, field)]
+    if field == QQ:
+        polys.append(Polynomial(2, {(2, 0): Fraction(1, 3), (1, 1): Fraction(-5, 4),
+                                    (0, 1): Fraction(7, 6), (0, 0): Fraction(2, 9)}))
+        for n in (2, 3):
+            m = rational_orthogonal_sample(seed, n) * rational_orthogonal_sample(seed + 1, n)
+            h = induced_map(m).images
+            polys += [h[0], h[0] * h[1] + h[-1] ** 3]
+    return polys
+
+
+def kernel_pairs(field, seed):
+    polys = kernel_inputs(field, seed)
+    return [(f, g) for f in polys for g in polys[::5] if f.n == g.n]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_mul_matches_schoolbook_oracle(field):
+    for f, g in kernel_pairs(field, 1):
+        got = f * g
+        assert got == schoolbook_mul(f, g)
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_circ_matches_derivative_oracle(field):
+    for f, g in kernel_pairs(field, 2):
+        got = circ(f, g)
+        assert got == circ_by_derivatives(f, g)
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_bracket_with_square_matches_loop_oracle(field):
+    for f in kernel_inputs(field, 3):
+        got = bracket_with_square(f)
+        assert got == bracket_with_square_loop(f)
+        for c in got.components:
+            assert_canonical(c)
+
+
+def test_kernel_cancels_exactly():
+    x1, x2 = var(2, 1), var(2, 2)
+    half = Fraction(1, 2)
+    assert (x1 - half * x2) * (x1 + half * x2) == x1 ** 2 - Fraction(1, 4) * x2 ** 2
+    assert circ(x1 ** 2 - x2 ** 2, x1 * x2).is_zero
+    # Over GF(p) the integer sums are multiples of p, not zero.
+    y1, y2 = var(2, 1, F5), var(2, 2, F5)
+    assert (y1 + y2) * (y1 + 4 * y2) == y1 ** 2 + 4 * y2 ** 2
+    assert circ(y1 ** 2 + 4 * y2 ** 2, y1 * y2).is_zero
+    assert circ(var(1, 1, F3) ** 3, var(1, 1, F3) ** 2).is_zero
+    assert bracket_with_square(var(1, 1, F3) ** 3).is_zero  # 108 x^4, 108 = 36 * 3
+    for p in (x1 * x2, circ(x1 ** 2 - x2 ** 2, x1 * x2), (y1 + y2) * (y1 + 4 * y2)):
+        assert_canonical(p)
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +329,28 @@ def test_iterated_circ_empty_iteration():
 
 def test_iterated_circ_absent_variable():
     assert iterated_circ(2, 2, var(2, 1) ** 2).is_zero
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+def test_iterated_circ_matches_products_with_the_variable(field):
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        f = random_polynomial(rng, n, 5, field)
+        k = rng.randint(1, n)
+        expected = f
+        for m in range(4):
+            assert iterated_circ(k, m, f) == expected
+            expected = circ(var(n, k, field), expected)
+
+
+def test_iterated_circ_refuses_bad_index_and_multiplicity():
+    f = var(2, 1) ** 2
+    with pytest.raises(IndexError, match=r"^variable index 3 out of range 1\.\.2$"):
+        iterated_circ(3, 1, f)
+    with pytest.raises(PreconditionError,
+                       match=r"^multiplicity must be a nonnegative integer, got -1$"):
+        iterated_circ(1, -1, f)
 
 
 def test_iterated_circ_is_repeated_derivative(rng):
