@@ -17,12 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionMismatchError, DomainError, FieldMismatchError
 from .fields import QQ, Field
 from .matrices import SquareMatrix
-from .poly import Polynomial, _mul_ints, _scaled, _unscaled, circ, random_polynomial
+from .poly import Packed, Polynomial, _kernel, circ, random_polynomial
 from .verdicts import Verdict
 
 __all__ = [
@@ -78,31 +77,25 @@ class Substitution:
             )
         if f.field != self.field:
             raise FieldMismatchError("substitution and polynomial over different fields")
-        # With every image h_i = H_i / d and f = F / a over integer maps, a term
-        # F_u X^u goes to F_u d^(top - |u|) prod H_i^u_i over a d^top.
-        n = self.n
-        scaled = [_scaled(h) for h in self.images]
-        d = lcm(*(s for _, s in scaled))
-        images = [{u: c * (d // s) for u, c in h.items()} for h, s in scaled]
-        one = {(0,) * n: 1}
-        powers = [[one] for _ in range(n)]
+        # c X^u goes to c prod_i h_i^u_i, with the powers of each image cached.
+        k = _kernel(f)
+        *images, (ints, d) = k.pack(*self.images, f)
+        powers = [[({0: 1}, 1)] for _ in images]
 
-        def power(i: int, e: int) -> dict:
+        def power(i: int, e: int) -> Packed:
             cache = powers[i]
             while len(cache) <= e:
-                cache.append(_mul_ints({}, cache[-1], images[i]))
+                cache.append(k.mul(cache[-1], images[i]))
             return cache[e]
 
-        ints, a = _scaled(f)
-        top = max(map(sum, ints), default=0)
-        out: dict = {}
-        for u, c in ints.items():
-            factors = [power(i, e) for i, e in enumerate(u) if e] or [one]
-            term = {(0,) * n: c * d ** (top - sum(u))}
-            for p in factors[:-1]:
-                term = _mul_ints({}, term, p)
-            _mul_ints(out, term, factors[-1])
-        return _unscaled(n, self.field, out, a * d ** top)
+        terms = []
+        for w, c in ints.items():
+            term = ({0: c}, d)
+            for i, e in enumerate(k.exponents(w)):
+                if e:
+                    term = k.mul(term, power(i, e))
+            terms.append((1, term))
+        return k.unpack(k.comb(*terms))
 
     def after(self, inner: "Substitution") -> "Substitution":
         """Composite endomorphism: first `inner`, then self."""

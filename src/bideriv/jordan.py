@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import DimensionMismatchError, DomainError, FieldMismatchError, PreconditionError
 from .fields import QQ, Field
 from .matrices import SymMatrix
-from .poly import Polynomial, circ
+from .poly import Polynomial, _kernel, circ
 
 __all__ = [
     "GradedPair",
@@ -94,9 +94,10 @@ def matrix_jordan_product(a: SymMatrix, b: SymMatrix) -> SymMatrix:
 
 def matrix_correspondence_residual(a: SymMatrix, b: SymMatrix) -> Polynomial:
     """q_A o q_B - 4 q_{A o B}; identically zero, returned as a witness."""
-    return circ(quadratic_form(a), quadratic_form(b)) - 4 * quadratic_form(
-        matrix_jordan_product(a, b)
-    )
+    qa, qb = quadratic_form(a), quadratic_form(b)
+    k = _kernel(qa, qb)
+    qa, qb, qab = k.pack(qa, qb, quadratic_form(matrix_jordan_product(a, b)))
+    return k.unpack(k.comb((1, k.circ(qa, qb)), (-4, qab)))
 
 
 def jordan_identity_defect(x: Polynomial, y: Polynomial) -> Polynomial:
@@ -105,8 +106,10 @@ def jordan_identity_defect(x: Polynomial, y: Polynomial) -> Polynomial:
     Vanishes whenever x and y have degree at most 2; the cubic witness
     x = x1^3, y = x1 shows the full polynomial algebra is not Jordan.
     """
-    sq = circ(x, x)
-    return circ(x, circ(y, sq)) - circ(circ(x, y), sq)
+    k = _kernel(y, x)
+    x, y = k.pack(x, y)
+    sq = k.circ(x, x)
+    return k.unpack(k.comb((1, k.circ(x, k.circ(y, sq))), (-1, k.circ(k.circ(x, y), sq))))
 
 
 def unit(n: int, field: Field = QQ) -> Polynomial:
@@ -138,17 +141,16 @@ def bimodule_defects(x: Polynomial, y: Polynomial,
     at most 2.  On (x1^2, x1^2, x1^i) the third residual equals
     16 i (i-1)(i-2) x1^i, nonzero exactly for i >= 3.
     """
-    sq = circ(x, x)
-    xm = circ(x, m)
-    r1 = circ(x, m) - circ(m, x)
-    r2 = circ(x, circ(sq, m)) - circ(sq, xm)
-    r3 = (
-        circ(circ(sq, y), m)
-        - circ(sq, circ(y, m))
-        - 2 * circ(circ(x, y), xm)
-        + 2 * circ(x, circ(y, xm))
-    )
-    return r1, r2, r3
+    k = _kernel(x, m, y)
+    x, y, m = k.pack(x, y, m)
+    c = k.circ
+    sq = c(x, x)
+    xm = c(x, m)
+    r1 = k.comb((1, xm), (-1, c(m, x)))
+    r2 = k.comb((1, c(x, c(sq, m))), (-1, c(sq, xm)))
+    r3 = k.comb((1, c(c(sq, y), m)), (-1, c(sq, c(y, m))),
+                (-2, c(c(x, y), xm)), (2, c(x, c(y, xm))))
+    return k.unpack(r1), k.unpack(r2), k.unpack(r3)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ tuples and never mutated.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable
 
 from .errors import DimensionMismatchError, DomainError, FieldMismatchError
@@ -66,18 +68,24 @@ class SquareMatrix:
 
     def __mul__(self, other):
         if isinstance(other, SquareMatrix):
+            # Integer rows times integer columns, one scalar per entry.
             self._check_compatible(other)
-            n = self.n
-            cols = tuple(zip(*other.entries))
-            rows = [
-                [sum((a * b for a, b in zip(row, col)), self.field.zero) for col in cols]
-                for row in self.entries
-            ]
-            return SquareMatrix(rows, self.field)
+            (a, sa), (b, sb) = self._integer_rows(), other._integer_rows()
+            cols = tuple(zip(*b))
+            scalar = self.field if self.field.characteristic else lambda c: Fraction(c, sa * sb)
+            return SquareMatrix([[scalar(sum(map(mul, row, col))) for col in cols] for row in a],
+                                self.field)
         if isinstance(other, (int, Fraction, FpElement)):
             c = self.field(other)
             return SquareMatrix([[a * c for a in row] for row in self.entries], self.field)
         return NotImplemented
+
+    def _integer_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, scale) with each entry equal to rows[i][j] / scale (scale 1 over GF(p))."""
+        if self.field.characteristic:
+            return [[v.value for v in row] for row in self.entries], 1
+        scale = lcm(*(v.denominator for row in self.entries for v in row))
+        return [[v.numerator * (scale // v.denominator) for v in row] for row in self.entries], scale
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, FpElement)):

@@ -12,10 +12,12 @@ display names ``x1..xn``.  The canonical term order is graded
 lexicographic: higher total degree first, ties broken lexicographically on
 the exponent tuple.
 
-Products, ``circ``, substitution and ``bracket_with_square`` run on integer
-coefficients: numerators over one shared denominator for QQ, unreduced
-residues for GF(p).  Field scalars are built once per output term, so the
-public term maps still hold ``Fraction``/``FpElement`` values.
+Products, ``circ``, substitution, vector-field actions and the chained
+identities run on a private integer kernel.  Each input is packed once: one
+int key per exponent tuple, with a 64-bit slot per variable, and integer
+coefficients (numerators over one denominator for QQ, residues for GF(p)).
+Field scalars are built once per output term.  Kernel inputs need every
+exponent below 2**32 (else PreconditionError), so no slot reaches 2**64.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here may be shared freely between
@@ -25,9 +27,11 @@ threads.
 from __future__ import annotations
 
 import random
+import struct
+from collections import defaultdict
+from itertools import compress
 from fractions import Fraction
 from math import lcm
-from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -84,53 +88,107 @@ def monomials_of_degree(n: int, k: int) -> list[Monomial]:
 
 
 # ----------------------------------------------------------------------
-# integer coefficient kernel: clear denominators once, work in ints, and
-# build field scalars once per output term
+# integer kernel on packed exponents: pack each input once, work in ints,
+# and build field scalars once per output term
 # ----------------------------------------------------------------------
 
+Packed = tuple[dict[int, int], int]
+# Below this bound no slot carries: chains add a few exponents, and substitution
+# takes X^u to slots below sum(u) * 2**32, but only after sum(u) products.
+_EXPONENT_BOUND = 1 << 32
 
-def _scaled(p: "Polynomial") -> tuple[dict[Monomial, int], int]:
-    """(ints, scale) with each coefficient of p equal to ints[u] / scale.
 
-    Over QQ the scale is the lcm of the denominators; over GF(p) the ints are
-    the residues and the scale is 1.
+class _Kernel:
+    """Integer arithmetic on packed term maps of K[x1..xn].
+
+    A value ``(ints, scale)`` is ``sum ints[w] / scale X^u``, where the key
+    ``w`` holds ``u_i`` in bits ``64i .. 64i+63``.  Every op drops zero terms
+    and, over GF(p), reduces residues mod p.
     """
-    if isinstance(p.field, RationalField):
-        scale = lcm(*(c.denominator for c in p._terms.values()))
-        return {u: c.numerator * (scale // c.denominator) for u, c in p._terms.items()}, scale
-    return {u: c.value for u, c in p._terms.items()}, 1
+
+    __slots__ = ("n", "field", "p", "_struct")
+
+    def __init__(self, n: int, field: Field):
+        self.n, self.field = n, field
+        self.p = 0 if isinstance(field, RationalField) else field.p
+        self._struct = struct.Struct(f"<{n}Q")
+
+    def exponents(self, w: int) -> Monomial:
+        return self._struct.unpack(w.to_bytes(8 * self.n, "little"))
+
+    def pack(self, *polys: "Polynomial") -> list[Packed]:
+        """The values of polys, all over one scale: the lcm of their denominators."""
+        top = max((e for f in polys for e in map(max, f._terms)), default=0)
+        if top >= _EXPONENT_BOUND:
+            raise PreconditionError(f"exponent {top} is at or above the packed-exponent bound 2**32")
+        pack, p = self._struct.pack, self.p
+        scale = 1 if p else lcm(*(c.denominator for f in polys for c in f._terms.values()))
+        return [({int.from_bytes(pack(*u), "little"):
+                  c.value if p else c.numerator * (scale // c.denominator)
+                  for u, c in f._terms.items()}, scale) for f in polys]
+
+    def unpack(self, value: Packed) -> "Polynomial":
+        ints, scale = value
+        exponents, p = self.exponents, self.p
+        return Polynomial._make(self.n, self.field, {
+            exponents(w): FpElement(c, p) if p else Fraction(c, scale) for w, c in ints.items()})
+
+    def _tidy(self, ints: dict[int, int]) -> dict[int, int]:
+        if p := self.p:
+            return {w: r for w, c in ints.items() if (r := c % p)}
+        return {w: c for w, c in ints.items() if c}
+
+    def partials(self, value: Packed) -> dict[int, Packed]:
+        """The nonzero d/dx_(i+1) of a value, keyed by i."""
+        ints, scale = value
+        parts: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        exponents, slots = self.exponents, range(self.n)
+        for w, c in ints.items():
+            u = exponents(w)
+            for i in compress(slots, u):
+                parts[i][w - (1 << 64 * i)] = c * u[i]
+        if self.p:  # u[i] may be a multiple of p
+            return {i: (d, 1) for i, part in parts.items() if (d := self._tidy(part))}
+        return {i: (d, scale) for i, d in parts.items()}
+
+    def dot(self, pairs) -> Packed:
+        """sum a*b over the pairs (a, b); all a share one scale, all b another."""
+        out: dict[int, int] = {}
+        get = out.get
+        scale = 1
+        for (a, sa), (b, sb) in pairs:
+            scale = sa * sb
+            bs = b.items()
+            for u, x in a.items():
+                for v, y in bs:
+                    w = u + v
+                    out[w] = get(w, 0) + x * y
+        return self._tidy(out), scale
+
+    def mul(self, f: Packed, g: Packed) -> Packed:
+        return self.dot(((f, g),))
+
+    def circ(self, f: Packed, g: Packed) -> Packed:
+        df, dg = self.partials(f), self.partials(g)
+        return self.dot((d, dg[i]) for i, d in df.items() if i in dg)
+
+    def comb(self, *terms: tuple[int, Packed]) -> Packed:
+        """sum a*f over the (a, f) terms, over the lcm of their scales."""
+        scale = lcm(*(s for _, (_, s) in terms))
+        out: dict[int, int] = {}
+        get = out.get
+        for a, (ints, s) in terms:
+            m = a * (scale // s)
+            for w, c in ints.items():
+                out[w] = get(w, 0) + m * c
+        return self._tidy(out), scale
 
 
-def _mul_ints(out: dict[Monomial, int], f: dict[Monomial, int],
-              g: dict[Monomial, int]) -> dict[Monomial, int]:
-    """Add the schoolbook product of two integer term maps into `out`, and
-    return it; zero coefficients are left in."""
-    get = out.get
-    for u, a in f.items():
-        for v, b in g.items():
-            w = tuple(map(add, u, v))
-            out[w] = get(w, 0) + a * b
-    return out
-
-
-def _partials(ints: dict[Monomial, int], n: int) -> list[dict[Monomial, int]]:
-    """The integer term maps of d/dx_1 .. d/dx_n."""
-    parts: list[dict[Monomial, int]] = [{} for _ in range(n)]
-    for u, c in ints.items():
-        for i, e in enumerate(u):
-            if e:
-                parts[i][u[:i] + (e - 1,) + u[i + 1:]] = c * e
-    return parts
-
-
-def _unscaled(n: int, field: Field, ints: dict[Monomial, int], scale: int) -> "Polynomial":
-    """The polynomial sum ints[u] / scale X^u, without the terms zero in the field."""
-    if isinstance(field, RationalField):
-        terms = {u: Fraction(c, scale) for u, c in ints.items() if c}
-    else:
-        p = field.p
-        terms = {u: FpElement(c, p) for u, c in ints.items() if c % p}
-    return Polynomial._make(n, field, terms)
+def _kernel(f: "Polynomial", *others: "Polynomial") -> _Kernel:
+    """The kernel of f's ring, once each of the others is checked to share it."""
+    for g in others:
+        f._check_compatible(g)
+    return _Kernel(f.n, f.field)
 
 
 class Polynomial:
@@ -267,33 +325,33 @@ class Polynomial:
                 f"polynomials over {self.field!r} and {other.field!r} cannot be combined"
             )
 
-    def __add__(self, other):
+    def _plus(self, other, negate: bool):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
         out = dict(self._terms)
         for u, c in other._terms.items():
             s = out.get(u)
-            s = c if s is None else s + c
+            s = (-c if negate else c) if s is None else (s - c if negate else s + c)
             if s:
                 out[u] = s
             elif u in out:
                 del out[u]
         return Polynomial._make(self.n, self.field, out)
 
+    def __add__(self, other):
+        return self._plus(other, False)
+
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, True)
 
     def __neg__(self):
         return Polynomial._make(self.n, self.field, {u: -c for u, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._check_compatible(other)
-            (f, fs), (g, gs) = _scaled(self), _scaled(other)
-            return _unscaled(self.n, self.field, _mul_ints({}, f, g), fs * gs)
+            k = _kernel(self, other)
+            return k.unpack(k.mul(*k.pack(self, other)))
         if isinstance(other, (int, Fraction, FpElement)):
             c = self.field(other)
             if not c:
@@ -396,13 +454,9 @@ class VectorField:
             raise DimensionMismatchError(
                 f"vector field over {self.n} variables cannot act on {g.n} variables"
             )
-        self.components[0]._check_compatible(g)
-        acc = Polynomial.zero(self.n, self.field)
-        for i, a in enumerate(self.components, start=1):
-            if a.is_zero:
-                continue
-            acc = acc + a * g.derivative(i)
-        return acc
+        k = _kernel(self.components[0], g)
+        *comps, g = k.pack(*self.components, g)
+        return k.unpack(k.dot((comps[i], d) for i, d in k.partials(g).items()))
 
     def __add__(self, other):
         if not isinstance(other, VectorField):
@@ -444,12 +498,8 @@ def circ(f: Polynomial, g: Polynomial) -> Polynomial:
     compatible: homogeneous inputs of degrees i and j land in degree
     i + j - 2 (or vanish).
     """
-    f._check_compatible(g)
-    (fi, fs), (gi, gs) = _scaled(f), _scaled(g)
-    out: dict[Monomial, int] = {}
-    for df, dg in zip(_partials(fi, f.n), _partials(gi, f.n)):
-        _mul_ints(out, df, dg)
-    return _unscaled(f.n, f.field, out, fs * gs)
+    k = _kernel(f, g)
+    return k.unpack(k.circ(*k.pack(f, g)))
 
 
 def iterated_circ(k: int, m: int, f: Polynomial) -> Polynomial:
@@ -476,8 +526,13 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
         raise DimensionMismatchError(
             f"vector fields over {v.n} and {w.n} variables cannot be bracketed"
         )
-    v.components[0]._check_compatible(w.components[0])
-    return VectorField(v.apply(wk) - w.apply(vk) for vk, wk in zip(v.components, w.components))
+    k = _kernel(v.components[0], w.components[0])
+    packed = k.pack(*v.components, *w.components)
+    vs, ws = packed[:v.n], packed[v.n:]
+    return VectorField(
+        k.unpack(k.comb((1, k.dot((vs[i], d) for i, d in k.partials(wk).items())),
+                        (-1, k.dot((ws[i], d) for i, d in k.partials(vk).items()))))
+        for vk, wk in zip(vs, ws))
 
 
 def bracket_with_square(f: Polynomial) -> VectorField:
@@ -486,32 +541,34 @@ def bracket_with_square(f: Polynomial) -> VectorField:
     Agrees with ``lie_bracket(gradient(f), gradient(circ(f, f)))`` and
     vanishes identically when deg f <= 2 (all third derivatives die).
     """
-    n = f.n
-    ints, scale = _scaled(f)
-    first = _partials(ints, n)
-    outs: list[dict[Monomial, int]] = [{} for _ in range(n)]
+    k = _kernel(f)
+    first = k.partials(*k.pack(f))
+    pairs: list[list[tuple[Packed, Packed]]] = [[] for _ in range(f.n)]
     # The sum is symmetric in i, j: take i <= j, off-diagonal pairs twice.
-    for i in range(n):
-        second = _partials(first[i], n)
-        for j in range(i, n):
-            third = _partials(second[j], n)
-            if not any(third):
+    # f_ij != 0 implies f_j != 0, so first[j] exists.
+    for i, fi in first.items():
+        for j, fij in k.partials(fi).items():
+            if j < i or not (third := k.partials(fij)):
                 continue
-            weight = 2 if i == j else 4
-            pair = {u: weight * c for u, c in _mul_ints({}, first[i], first[j]).items()}
-            for out, t in zip(outs, third):
-                _mul_ints(out, pair, t)
-    return VectorField(_unscaled(n, f.field, out, scale ** 3) for out in outs)
+            pair = k.comb((2 if i == j else 4, k.mul(fi, first[j])))
+            for m, t in third.items():
+                pairs[m].append((pair, t))
+    return VectorField(k.unpack(k.dot(out)) for out in pairs)
 
 
 def associator(f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
     """(f o g) o h - f o (g o h); nonzero in general (the product is nonassociative)."""
-    return circ(circ(f, g), h) - circ(f, circ(g, h))
+    k = _kernel(f, g, h)
+    f, g, h = k.pack(f, g, h)
+    return k.unpack(k.comb((1, k.circ(k.circ(f, g), h)), (-1, k.circ(f, k.circ(g, h)))))
 
 
 def jacobiator(f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
     """Cyclic sum (f o g) o h + (g o h) o f + (h o f) o g; obstruction to Jacobi."""
-    return circ(circ(f, g), h) + circ(circ(g, h), f) + circ(circ(h, f), g)
+    k = _kernel(f, g, h)
+    f, g, h = k.pack(f, g, h)
+    c = k.circ
+    return k.unpack(k.comb((1, c(c(f, g), h)), (1, c(c(g, h), f)), (1, c(c(h, f), g))))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from bideriv import QQ, FpElement, Polynomial, PrimeField, SquareMatrix, SymMatrix
+from bideriv import (
+    QQ,
+    FpElement,
+    Polynomial,
+    PrimeField,
+    SquareMatrix,
+    SymMatrix,
+    random_polynomial,
+)
 
 settings.register_profile(
     "exact",
@@ -83,3 +91,73 @@ def assert_canonical(p: Polynomial):
             assert type(c) is FpElement and c.p == p.field.p
         else:
             assert type(c) is Fraction
+
+
+def combine(*terms):
+    """sum a*p over the (a, p) terms, added up by the Polynomial constructor."""
+    p = terms[0][1]
+    return Polynomial(p.n, [(u, a * c) for a, q in terms for u, c in q.terms.items()], p.field)
+
+
+def circ_oracle(f, g):
+    """f o g as the sum of the schoolbook products of partial derivatives."""
+    return combine(*((1, schoolbook_mul(f.derivative(i), g.derivative(i)))
+                     for i in range(1, f.n + 1)))
+
+
+def associator_oracle(f, g, h):
+    c = circ_oracle
+    return combine((1, c(c(f, g), h)), (-1, c(f, c(g, h))))
+
+
+def jacobiator_oracle(f, g, h):
+    c = circ_oracle
+    return combine((1, c(c(f, g), h)), (1, c(c(g, h), f)), (1, c(c(h, f), g)))
+
+
+def jordan_defect_oracle(x, y):
+    c = circ_oracle
+    sq = c(x, x)
+    return combine((1, c(x, c(y, sq))), (-1, c(c(x, y), sq)))
+
+
+def bimodule_defects_oracle(x, y, m):
+    c = circ_oracle
+    sq, xm = c(x, x), c(x, m)
+    return (combine((1, c(x, m)), (-1, c(m, x))),
+            combine((1, c(x, c(sq, m))), (-1, c(sq, xm))),
+            combine((1, c(c(sq, y), m)), (-1, c(sq, c(y, m))),
+                    (-2, c(c(x, y), xm)), (2, c(x, c(y, xm)))))
+
+
+def matmul_oracle(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    """Row-times-column product with field-scalar sums."""
+    cols = list(zip(*b.entries))
+    return SquareMatrix([[sum((x * y for x, y in zip(row, col)), a.field.zero) for col in cols]
+                         for row in a.entries], a.field)
+
+
+def chain_inputs(field, seed):
+    """Seeded triples over `field` for chains of products: random sparse ones
+    with n = 1..6, zero and constant slots, factors whose intermediate products
+    vanish mod 3 or mod 5 (x^3 o x^2 = 6 x^3; x^5 has derivative 5 x^4), and
+    over QQ mixed denominators."""
+    rng = random.Random(seed)
+    triples = []
+    for n in range(1, 7):
+        deg = 4 if n <= 3 else 3
+        for _ in range(3):
+            triples.append(tuple(random_polynomial(rng, n, deg, field, max_terms=4)
+                                 for _ in range(3)))
+        f = random_polynomial(rng, n, deg, field)
+        zero, seven = Polynomial.zero(n, field), Polynomial.constant(n, 7, field)
+        triples += [(zero, f, f), (f, seven, f), (f, f, zero)]
+    x, y = var(2, 1, field), var(2, 2, field)
+    triples += [(x ** 3, x ** 2, x * y + y ** 3), (x ** 5 + y, x ** 3, y ** 2),
+                (x ** 3 + y ** 3, x ** 3 - y ** 3, x * y), (x ** 2 - y ** 2, x * y, x ** 3)]
+    if field == QQ:
+        mixed = Polynomial(2, {(2, 0): Fraction(1, 3), (1, 1): Fraction(-5, 4),
+                               (0, 1): Fraction(7, 6), (0, 0): Fraction(2, 9)})
+        triples += [(mixed, x * Fraction(1, 10) + y ** 2, mixed * mixed),
+                    (y * Fraction(3, 7), mixed, x ** 2 * Fraction(-1, 6))]
+    return triples

@@ -7,6 +7,7 @@ from bideriv import (
     QQ,
     DimensionMismatchError,
     Polynomial,
+    PreconditionError,
     SquareMatrix,
     Substitution,
     aut_dim1,
@@ -108,6 +109,22 @@ def test_substitution_cancels_exactly():
     got = Substitution((y1 + y2, y2)).apply(y1 ** 3)
     assert got == y1 ** 3 + y2 ** 3
     assert_canonical(got)
+
+
+def test_substitution_at_the_exponent_bound():
+    top = 2 ** 32 - 1
+    for field in KERNEL_FIELDS:
+        x1, x2 = var(2, 1, field), var(2, 2, field)
+        h = Polynomial(2, {(top, 0): 2, (1, top): 1, (0, 0): 3}, field)
+        s = Substitution((h, x1 - x2))
+        f = x1 ** 2 - 3 * x1 * x2 + 4 * x2
+        assert s.apply(f) == apply_by_products(s, f)
+        assert s.apply(f).coefficient((2 * top, 0)) == field(4)
+    big = Polynomial(2, {(2 ** 32, 0): 1})
+    x1, x2 = var(2, 1), var(2, 2)
+    for s, f in ((Substitution((big, x2)), x1), (Substitution((x1, x2)), big)):
+        with pytest.raises(PreconditionError, match=r"2\*\*32"):
+            s.apply(f)
 
 
 def test_substitute_dimension_mismatch():

@@ -1,7 +1,11 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bideriv import Polynomial, errors
 from bideriv.cli import main, polynomial_from_payload, polynomial_payload
@@ -211,6 +215,15 @@ def test_variable_count_above_the_bound_exits_three(capsys):
     assert len(out.splitlines()) == 1024
 
 
+def test_exponents_at_the_packed_bound_exit_three(capsys):
+    argv = ["circ", "-n", "1", "--max-degree", "5000000000"]
+    code, out, _ = run_cli(capsys, *argv, "x1^4294967295", "x1^2")
+    assert code == 0 and out == "8589934590*x1^4294967295\n"
+    code, out, err = run_cli(capsys, *argv, "x1^4294967296", "x1")
+    assert code == 3 and out == ""
+    assert err == "error: exponent 4294967296 is at or above the packed-exponent bound 2**32\n"
+
+
 def test_matrix_dimension_mismatch_exit_three(capsys, monkeypatch):
     matrix = json.dumps({"n": 3, "entries": [[str(v) for v in row] for row in
                                              [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]})
@@ -276,3 +289,73 @@ def test_payload_round_trip_includes_field():
     assert polynomial_from_payload(polynomial_payload(f)) == f
     g = Polynomial(3, {(2, 1, 0): "3/4"})
     assert polynomial_from_payload(polynomial_payload(g)) == g
+
+
+# ----------------------------------------------------------------------
+# fuzzed argv and stdin
+# ----------------------------------------------------------------------
+
+POSITIONALS = {"circ": 2, "grad": 1, "bracket": 2, "assoc": 3, "jacobi": 3, "xi": 1,
+               "xi-inv": 0, "jordan-defect": 2, "bimodule-defect": 3, "decompose": 1,
+               "peirce": 0, "reduce": 1, "closure": 1, "simple": 0, "aut-check": 0, "aut1": 2}
+TOKENS = ["x1", "x2", "x3", "x5", "x0", "1/2", "-3", "0", "7", "^", "^2", "^17", "*", "+", "-",
+          "(", ")", " ", "1/0", "y", "**", "2.5", "-n", "--json", "nope", ""]
+WELL_FORMED = st.sampled_from(["x1", "x1^2 + x2^2", "x1*x2", "x1^3", "1/2*x1^2 - 3*x2", "0",
+                               "5", "-1", "x2^2 - x1*x2", "x1^2*x3 + 2/3", "x1^4 - x2^4"])
+EXPRESSIONS = st.one_of(WELL_FORMED, WELL_FORMED, WELL_FORMED,
+                        st.lists(st.sampled_from(TOKENS), max_size=8).map("".join))
+FLAGS = st.one_of(
+    st.tuples(st.just("--field"),
+              st.sampled_from(["q", "q", "fp:3", "fp:7", "fp:7", "fp:9", "fp:2", "r"])),
+    st.tuples(st.just("--max-degree"), st.sampled_from(["0", "2", "16", "40"])),
+    st.tuples(st.just("--seed"), st.sampled_from(["0", "5", "x"])),
+    st.tuples(st.just("--json")))
+MATRICES = ['{"n": 2, "entries": [["3/5", "-4/5"], ["4/5", "3/5"]]}',
+            '{"n": 2, "entries": [[1, 2], [2, 1]]}', '{"n": 1, "entries": [["-1"]]}',
+            '{"n": 3, "entries": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}']
+STDIN = st.one_of(st.sampled_from(MATRICES), st.lists(st.sampled_from(
+    ["{", "}", "[", "]", ",", ":", '"n"', '"entries"', '"1/2"', "0", "1", "null"]),
+    max_size=12).map("".join))
+
+
+@st.composite
+def invocations(draw):
+    """Mostly well-formed argv: a subcommand, usually -n, flags and about the
+    right number of positionals; sometimes a list of loose tokens."""
+    if not draw(st.integers(0, 7)):
+        return draw(st.lists(st.sampled_from(TOKENS + sorted(POSITIONALS)), max_size=8))
+    command = draw(st.sampled_from(sorted(POSITIONALS)))
+    argv = [command]
+    # Small sizes only: `simple` and `closure` accept cells that take seconds to sweep.
+    if command != "aut1" and draw(st.sampled_from([True] * 9 + [False])):
+        argv += ["-n", draw(st.sampled_from(["-1", "0", "1", "2", "2", "3", "4", "1025"]))]
+    if command in ("closure", "simple"):
+        argv += ["-k", draw(st.sampled_from(["-1", "0", "1", "2", "3", "5"]))]
+    if command == "simple":
+        argv += ["--seeds", draw(st.sampled_from(["0", "1", "3", "-2"]))]
+    argv += [word for flag in draw(st.lists(FLAGS, max_size=3)) for word in flag]
+    count = max(0, POSITIONALS[command] + draw(st.sampled_from([0] * 6 + [1, -1])))
+    return argv + draw(st.lists(EXPRESSIONS, min_size=count, max_size=count))
+
+
+@settings(max_examples=200)
+@given(invocations(), STDIN)
+def test_fuzzed_invocations_end_with_a_documented_exit_code(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+                parsed = True
+            except SystemExit as exc:  # argparse usage errors
+                code, parsed = exc.code, False
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if parsed and "--json" in argv:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["status"] in ("ok", "error")

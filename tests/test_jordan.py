@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from bideriv import (
     QQ,
     DomainError,
+    SquareMatrix,
     GradedPair,
     Polynomial,
     PreconditionError,
@@ -24,7 +26,20 @@ from bideriv import (
     semidirect_product,
     unit,
 )
-from conftest import F5, F7, rand_sym_matrix, var
+from conftest import (
+    F5,
+    F7,
+    KERNEL_FIELDS,
+    assert_canonical,
+    bimodule_defects_oracle,
+    chain_inputs,
+    circ_oracle,
+    combine,
+    jordan_defect_oracle,
+    matmul_oracle,
+    rand_sym_matrix,
+    var,
+)
 
 
 def e_matrix(n, pairs, field=QQ):
@@ -115,6 +130,67 @@ def test_correspondence_residual_vanishes_randomly(rng):
             a = rand_sym_matrix(rng, n, field)
             b = rand_sym_matrix(rng, n, field)
             assert matrix_correspondence_residual(a, b).is_zero
+
+
+def kernel_matrices(field, seed):
+    """Seeded matrix pairs over `field`, n = 1..6: integer and mixed-denominator
+    entries, a zero matrix, and over GF(p) rows whose products are multiples of p."""
+    rng = random.Random(seed)
+
+    def entry():
+        c = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 4, 7)))
+        return c if field == QQ else field(c.numerator) / field(c.denominator)
+
+    pairs = []
+    for n in range(1, 7):
+        for _ in range(3):
+            a, b = (SquareMatrix([[entry() for _ in range(n)] for _ in range(n)], field)
+                    for _ in range(2))
+            pairs += [(a, b), (a, SquareMatrix.identity(n, field) * 0)]
+    if field != QQ:
+        p = field.p
+        ones = SquareMatrix([[1] * 2] * 2, field)
+        pairs.append((ones, SquareMatrix([[1, p - 1], [p - 1, 1]], field)))
+    return pairs
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_matrix_product_matches_fraction_oracle(field):
+    for a, b in kernel_matrices(field, 8):
+        got = a * b
+        assert got == matmul_oracle(a, b)
+        assert all(type(c) is type(field.one) for row in got.entries for c in row)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_correspondence_residual_matches_circ_oracle(field):
+    rng = random.Random(9)
+    for n in range(1, 7):
+        for _ in range(3):
+            a, b = rand_sym_matrix(rng, n, field), rand_sym_matrix(rng, n, field)
+            half = field(Fraction(1, 2))
+            jordan = SymMatrix(((matmul_oracle(a, b) + matmul_oracle(b, a)) * half).entries, field)
+            want = combine((1, circ_oracle(quadratic_form(a), quadratic_form(b))),
+                           (-4, quadratic_form(jordan)))
+            assert want.is_zero
+            assert matrix_correspondence_residual(a, b) == want
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_jordan_identity_defect_matches_circ_oracle(field):
+    for x, y, _ in chain_inputs(field, 10):
+        got = jordan_identity_defect(x, y)
+        assert got == jordan_defect_oracle(x, y)
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_bimodule_defects_match_circ_oracle(field):
+    for x, y, m in chain_inputs(field, 11):
+        got = bimodule_defects(x, y, m)
+        assert got == bimodule_defects_oracle(x, y, m)
+        for r in got:
+            assert_canonical(r)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,20 @@ from bideriv import (
     random_polynomial,
     rational_orthogonal_sample,
 )
-from conftest import F3, F5, KERNEL_FIELDS, assert_canonical, polynomials, schoolbook_mul, var
+from conftest import (
+    F3,
+    F5,
+    KERNEL_FIELDS,
+    assert_canonical,
+    associator_oracle,
+    chain_inputs,
+    circ_oracle,
+    combine,
+    jacobiator_oracle,
+    polynomials,
+    schoolbook_mul,
+    var,
+)
 
 
 # ----------------------------------------------------------------------
@@ -84,14 +97,6 @@ def test_fp_coefficients_canonical():
 # ----------------------------------------------------------------------
 
 
-def circ_by_derivatives(f, g):
-    """f o g as the sum of the products of partial derivatives."""
-    acc = Polynomial.zero(f.n, f.field)
-    for i in range(1, f.n + 1):
-        acc = acc + schoolbook_mul(f.derivative(i), g.derivative(i))
-    return acc
-
-
 def bracket_with_square_loop(f):
     """2 sum_{ijk} f_i f_j f_{ijk} d/dx_k, one derivative product at a time."""
     n = f.n
@@ -144,7 +149,7 @@ def test_mul_matches_schoolbook_oracle(field):
 def test_circ_matches_derivative_oracle(field):
     for f, g in kernel_pairs(field, 2):
         got = circ(f, g)
-        assert got == circ_by_derivatives(f, g)
+        assert got == circ_oracle(f, g)
         assert_canonical(got)
 
 
@@ -155,6 +160,87 @@ def test_bracket_with_square_matches_loop_oracle(field):
         assert got == bracket_with_square_loop(f)
         for c in got.components:
             assert_canonical(c)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_associator_matches_circ_oracle(field):
+    for f, g, h in chain_inputs(field, 4):
+        got = associator(f, g, h)
+        assert got == associator_oracle(f, g, h)
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_jacobiator_matches_circ_oracle(field):
+    for f, g, h in chain_inputs(field, 5):
+        got = jacobiator(f, g, h)
+        assert got == jacobiator_oracle(f, g, h)
+        assert_canonical(got)
+
+
+@given(polynomials(n=2), polynomials(n=2), polynomials(n=2))
+def test_chains_match_circ_oracles(f, g, h):
+    assert associator(f, g, h) == associator_oracle(f, g, h)
+    assert jacobiator(f, g, h) == jacobiator_oracle(f, g, h)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_add_and_sub_match_term_map_oracle(field):
+    for f, g in kernel_pairs(field, 6):
+        for got, sign in ((f + g, 1), (f - g, -1)):
+            assert got == combine((1, f), (sign, g))
+            assert_canonical(got)
+        assert (f - f).is_zero
+
+
+def apply_oracle(v, g):
+    return combine(*((1, schoolbook_mul(a, g.derivative(i)))
+                     for i, a in enumerate(v.components, start=1)))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_apply_and_lie_bracket_match_oracles(field):
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for _ in range(3):
+            v, w = (VectorField(random_polynomial(rng, n, 3, field, max_terms=3)
+                                for _ in range(n)) for _ in range(2))
+            g = random_polynomial(rng, n, 4, field)
+            got = v.apply(g)
+            assert got == apply_oracle(v, g)
+            assert_canonical(got)
+            bracket = lie_bracket(v, w)
+            assert bracket == VectorField(
+                combine((1, apply_oracle(v, wk)), (-1, apply_oracle(w, vk)))
+                for vk, wk in zip(v.components, w.components))
+            for c in bracket.components:
+                assert_canonical(c)
+    # d/dx1 of x1^5 is 5 x1^4: the derivation x1^2 d/dx1 kills it over GF(5).
+    x = var(1, 1, field)
+    assert VectorField([x ** 2]).apply(x ** 5) == apply_oracle(VectorField([x ** 2]), x ** 5)
+
+
+EXPONENT_BOUND = 2 ** 32
+
+
+def test_kernel_accepts_exponents_just_below_the_bound():
+    top = EXPONENT_BOUND - 1
+    for field in KERNEL_FIELDS:
+        f = Polynomial(2, {(top, 0): 3, (1, top): 1, (0, 0): 2}, field)
+        g = Polynomial(2, {(top, top): 5, (2, 0): 1, (0, 1): 4}, field)
+        assert f * g == schoolbook_mul(f, g)
+        assert circ(f, g) == circ_oracle(f, g)
+        assert (f * g).coefficient((2 * top, top)) == field(15)
+
+
+def test_kernel_refuses_exponents_at_the_bound():
+    x = var(2, 1)
+    big = Polynomial(2, {(EXPONENT_BOUND, 0): 1, (0, 1): 1})
+    for op in (lambda: big * x, lambda: x * big, lambda: circ(x, big),
+               lambda: associator(x, x, big), lambda: bracket_with_square(big),
+               lambda: gradient(x).apply(big)):
+        with pytest.raises(PreconditionError, match=r"2\*\*32"):
+            op()
 
 
 def test_kernel_cancels_exactly():

@@ -16,13 +16,14 @@ from bideriv import (
     decompose,
     idempotents,
     peirce_decomposition,
+    random_polynomial,
     product_rule_check,
     random_homogeneous_polynomial,
     unit,
     weight_of_monomial,
     weights_of_degree,
 )
-from conftest import F5, polynomials, var
+from conftest import F5, KERNEL_FIELDS, assert_canonical, polynomials, var
 
 
 # ----------------------------------------------------------------------
@@ -58,6 +59,22 @@ def test_basis_action_halves_exponent():
     h = CartanElement.basis(2, 1)
     m = var(2, 1) ** 3 * var(2, 2)
     assert cartan_action(h, m) == Fraction(3, 2) * m
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_cartan_action_matches_weight_formula(field):
+    # X^u scales by its weight sum_i a_i u_i / 2; over GF(p) the weight of
+    # x_i^p vanishes, so terms drop out of the gradient product.
+    rng = random.Random(12)
+    for n in range(1, 7):
+        for _ in range(4):
+            h = CartanElement([rng.choice((0, 1, -2, 3, 5, Fraction(1, 2))) for _ in range(n)],
+                              field)
+            f = random_polynomial(rng, n, 6, field, max_terms=5)
+            got = cartan_action(h, f)
+            assert got == Polynomial(n, [(u, Weight(u).evaluate(h) * c)
+                                         for u, c in f.terms.items()], field)
+            assert_canonical(got)
 
 
 def test_unit_action_is_half_euler():
