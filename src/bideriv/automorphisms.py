@@ -15,14 +15,13 @@ the sign flip.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, DomainError, FieldMismatchError
 from .fields import QQ, Field
 from .matrices import SquareMatrix
 from .poly import Packed, Polynomial, _kernel, circ, random_polynomial
-from .verdicts import Verdict
+from .verdicts import Verdict, _Record, _set_field
 
 __all__ = [
     "Substitution",
@@ -38,24 +37,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_Record):
     """The ring endomorphism f -> f(h1, ..., hn) given by images of x1..xn."""
 
-    images: tuple[Polynomial, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if not self.images:
+    def __init__(self, images: tuple[Polynomial, ...]):
+        images = tuple(images)
+        if not images:
             raise DomainError("a substitution needs at least one image")
-        n = len(self.images)
-        for h in self.images:
+        n = len(images)
+        for h in images:
             if h.n != n:
                 raise DimensionMismatchError(
                     f"image over {h.n} variables in a substitution on {n} variables"
                 )
-            if h.field != self.images[0].field:
+            if h.field != images[0].field:
                 raise FieldMismatchError("substitution images over different fields")
+        _set_field(self, "images", images)
 
     @property
     def n(self) -> int:

@@ -10,15 +10,18 @@ A field object is a callable that coerces ints, Fractions, strings such as
 elements themselves support exact ``+ - * / **`` and mix freely with Python
 ints through the canonical ring map from the integers.  A residue compares
 equal only to its canonical int (``FpElement(1, 5) == 1`` but ``!= 6``), so
-equality agrees with hashing.
+equality agrees with hashing.  Strings in exponent notation (``"3e-5"``)
+are read only for exponents up to 4300 in size, and :func:`scalar_to_str`
+refuses numbers above the interpreter's int-to-str digit limit.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
-from .errors import CharacteristicError, CoercionError, FieldMismatchError
+from .errors import CharacteristicError, CoercionError, FieldMismatchError, PreconditionError
 
 __all__ = [
     "QQ",
@@ -30,6 +33,9 @@ __all__ = [
     "field_from_name",
     "scalar_to_str",
 ]
+
+# Largest exponent size a scalar string may carry in exponent notation.
+_MAX_DECIMAL_EXPONENT = 4300
 
 # Witnesses for deterministic Miller-Rabin; exact for all n < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -174,10 +180,7 @@ class RationalField:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CoercionError(f"cannot read {value!r} as a rational") from exc
+            return _read_fraction(value, "a rational")
         raise CoercionError(f"cannot coerce {value!r} into the rationals")
 
     def __eq__(self, other):
@@ -238,11 +241,7 @@ class PrimeField:
                 )
             return FpElement(value.numerator * pow(den, -1, self.p), self.p)
         if isinstance(value, str):
-            try:
-                as_fraction = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CoercionError(f"cannot read {value!r} as a scalar") from exc
-            return self(as_fraction)
+            return self(_read_fraction(value, "a scalar"))
         raise CoercionError(f"cannot coerce {value!r} into GF({self.p})")
 
     def __eq__(self, other):
@@ -278,8 +277,27 @@ def field_from_name(name: str) -> Field:
     raise CoercionError(f"unknown field {name!r} (use 'q' or 'fp:P')")
 
 
+def _read_fraction(text: str, what: str) -> Fraction:
+    _, marker, exponent = text.lower().partition("e")
+    try:
+        if marker and abs(int(exponent)) > _MAX_DECIMAL_EXPONENT:
+            raise CoercionError(f"cannot read {text!r}: its exponent is above the bound "
+                                f"{_MAX_DECIMAL_EXPONENT}")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CoercionError(f"cannot read {text!r} as {what}") from exc
+
+
 def scalar_to_str(c: Scalar) -> str:
     """Exact text form: 'a/b' or 'a' for rationals, the residue for GF(p)."""
     if isinstance(c, FpElement):
         return str(c.value)
-    return str(c)
+    try:
+        return str(c)
+    except ValueError:  # past the interpreter's int-to-str digit limit, kept: it is quadratic
+        big = max(abs(c.numerator), c.denominator)
+        digits = int(big.bit_length() * 0.30102999566398120)  # floor(bits * log10(2))
+        digits += big >= 10 ** digits
+        raise PreconditionError(
+            f"a scalar with {digits} digits is above the limit of "
+            f"{sys.get_int_max_str_digits()} digits for decimal output") from None

@@ -13,13 +13,13 @@ for the low-degree radical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, DomainError, FieldMismatchError, PreconditionError
 from .fields import QQ, Field
 from .matrices import SymMatrix
 from .poly import Polynomial, _kernel, circ
+from .verdicts import _Record, _set_field
 
 __all__ = [
     "GradedPair",
@@ -153,22 +153,22 @@ def bimodule_defects(x: Polynomial, y: Polynomial,
     return k.unpack(r1), k.unpack(r2), k.unpack(r3)
 
 
-@dataclass(frozen=True)
-class GradedPair:
+class GradedPair(_Record):
     """A (quadratic, linear) pair: element of the degree-2 plus degree-1 sum."""
 
-    quad: Polynomial
-    lin: Polynomial
+    __slots__ = ("quad", "lin")
 
-    def __post_init__(self):
-        if self.quad.n != self.lin.n:
+    def __init__(self, quad: Polynomial, lin: Polynomial):
+        if quad.n != lin.n:
             raise DimensionMismatchError("pair components live over different variable counts")
-        if self.quad.field != self.lin.field:
+        if quad.field != lin.field:
             raise FieldMismatchError("pair components live over different fields")
-        if not self.quad.is_homogeneous(2):
+        if not quad.is_homogeneous(2):
             raise DomainError("quadratic part must be homogeneous of degree 2 (or zero)")
-        if not self.lin.is_homogeneous(1):
+        if not lin.is_homogeneous(1):
             raise DomainError("linear part must be homogeneous of degree 1 (or zero)")
+        _set_field(self, "quad", quad)
+        _set_field(self, "lin", lin)
 
     @property
     def n(self) -> int:

@@ -62,6 +62,10 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 
+# Closure sweeps are desk-scale tools: refuse cells with more monomials than
+# this, and (in the CLI) more variables.
+MAX_CELL_DIMENSION = 1024
+
 
 def grlex_key(u: Monomial) -> tuple:
     """Sort key for graded lexicographic order (ascending)."""

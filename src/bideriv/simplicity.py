@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from itertools import product
 from math import comb
 from typing import Iterable
@@ -40,6 +39,7 @@ from .errors import (
 )
 from .fields import QQ, Field, PrimeField, Scalar
 from .poly import (
+    MAX_CELL_DIMENSION,
     Monomial,
     Polynomial,
     circ,
@@ -48,7 +48,7 @@ from .poly import (
     monomials_of_degree,
     random_homogeneous_polynomial,
 )
-from .verdicts import SimplicityReport
+from .verdicts import SimplicityReport, _Record, _set_field
 from .weights import CartanElement, Weight, cartan_action
 
 __all__ = [
@@ -63,9 +63,6 @@ __all__ = [
     "separating_cartan",
     "transfer_operator",
 ]
-
-# Closure sweeps are desk-scale tools; refuse cells that would grind.
-MAX_CELL_DIMENSION = 1024
 
 
 def _require_char_zero(field: Field, what: str):
@@ -164,24 +161,24 @@ def eigen_split(f: Polynomial, h0: CartanElement) -> list[Polynomial]:
     return components
 
 
-@dataclass(frozen=True)
-class TransferOperator:
+class TransferOperator(_Record):
     """The action of x_i x_j (i != j): X^v maps to v_i X^{v'} + v_j X^{v''}.
 
     Here v' moves one exponent unit from slot i to slot j and v'' the
     reverse; this is the derivation x_j d/dx_i + x_i d/dx_j.
     """
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self):
-        if self.i == self.j:
+    def __init__(self, i: int, j: int):
+        if i == j:
             raise PreconditionError(
                 "transfer needs two distinct variables; equal indices are the diagonal action"
             )
-        if self.i < 1 or self.j < 1:
+        if i < 1 or j < 1:
             raise IndexError("variable indices are 1-based")
+        _set_field(self, "i", i)
+        _set_field(self, "j", j)
 
     def apply(self, f: Polynomial) -> Polynomial:
         if self.i > f.n or self.j > f.n:

@@ -24,32 +24,37 @@ coefficients, so ``parse(format(f)) == f`` for every polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoercionError, DegreeGuardError, ParseError
 from .fields import QQ, Field, FpElement, scalar_to_str
 from .poly import Monomial, Polynomial
+from .verdicts import _Record, _set_field
 
 __all__ = ["ParseContext", "format_polynomial", "parse_polynomial"]
 
 _MAX_PAREN_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class ParseContext:
+class ParseContext(_Record):
     """Ambient data for parsing: variable count, field, optional degree guard."""
 
-    n: int
-    field: Field = QQ
-    max_degree: int | None = None
+    __slots__ = ("n", "field", "max_degree")
+
+    def __init__(self, n: int, field: Field = QQ, max_degree: int | None = None):
+        _set_field(self, "n", n)
+        _set_field(self, "field", field)
+        _set_field(self, "max_degree", max_degree)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int', 'var', '+', '-', '*', '^', '/', '(', ')', 'end'
-    value: int | None
-    pos: int  # character offset into the source
+class _Token(_Record):
+    # kind is 'int', 'var', '+', '-', '*', '^', '/', '(', ')' or 'end'; pos a character offset
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value: int | None, pos: int):
+        _set_field(self, "kind", kind)
+        _set_field(self, "value", value)
+        _set_field(self, "pos", pos)
 
 
 def _byte_offset(text: str, pos: int) -> int:

@@ -13,7 +13,6 @@ vector u itself and multiply by one half only when evaluating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -21,7 +20,7 @@ from typing import Iterator
 from .errors import DimensionMismatchError, DomainError, FieldMismatchError
 from .fields import QQ, Field, Scalar
 from .poly import Monomial, Polynomial, circ, grlex_key, monomials_of_degree
-from .verdicts import Verdict
+from .verdicts import Verdict, _Record, _set_field
 
 __all__ = [
     "CartanElement",
@@ -86,16 +85,16 @@ class CartanElement:
         return f"CartanElement({self.coefficients})"
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Record):
     """Weight of a monomial X^u: the functional h -> sum_i u_i b_i(h) / 2."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        if any(not isinstance(e, int) or e < 0 for e in self.exponents):
+    def __init__(self, exponents: tuple[int, ...]):
+        exponents = tuple(exponents)
+        if any(not isinstance(e, int) or e < 0 for e in exponents):
             raise DomainError("weights are indexed by nonnegative integer vectors")
+        _set_field(self, "exponents", exponents)
 
     @property
     def n(self) -> int:

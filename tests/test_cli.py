@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bideriv import Polynomial, errors
-from bideriv.cli import main, polynomial_from_payload, polynomial_payload
+from bideriv.cli import _parse_args, build_parser, main, polynomial_from_payload, polynomial_payload
 from conftest import F5, var
 
 
@@ -302,20 +302,26 @@ TOKENS = ["x1", "x2", "x3", "x5", "x0", "1/2", "-3", "0", "7", "^", "^2", "^17",
           "(", ")", " ", "1/0", "y", "**", "2.5", "-n", "--json", "nope", ""]
 WELL_FORMED = st.sampled_from(["x1", "x1^2 + x2^2", "x1*x2", "x1^3", "1/2*x1^2 - 3*x2", "0",
                                "5", "-1", "x2^2 - x1*x2", "x1^2*x3 + 2/3", "x1^4 - x2^4"])
-EXPRESSIONS = st.one_of(WELL_FORMED, WELL_FORMED, WELL_FORMED,
+# Short inputs with long outputs, and scalars in exponent notation or with many digits.
+LARGE = st.sampled_from(["x1^1700", "(9*x1)^5000", "(x1 + 2*x2)^30", "1e999999999", "-3e-2",
+                         "1e4300", "7" * 5000])
+EXPRESSIONS = st.one_of(WELL_FORMED, WELL_FORMED, WELL_FORMED, LARGE,
                         st.lists(st.sampled_from(TOKENS), max_size=8).map("".join))
 FLAGS = st.one_of(
     st.tuples(st.just("--field"),
               st.sampled_from(["q", "q", "fp:3", "fp:7", "fp:7", "fp:9", "fp:2", "r"])),
-    st.tuples(st.just("--max-degree"), st.sampled_from(["0", "2", "16", "40"])),
+    st.tuples(st.just("--max-degree"), st.sampled_from(["0", "2", "16", "40", "1700", "6000"])),
     st.tuples(st.just("--seed"), st.sampled_from(["0", "5", "x"])),
     st.tuples(st.just("--json")))
 MATRICES = ['{"n": 2, "entries": [["3/5", "-4/5"], ["4/5", "3/5"]]}',
             '{"n": 2, "entries": [[1, 2], [2, 1]]}', '{"n": 1, "entries": [["-1"]]}',
             '{"n": 3, "entries": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}']
+LARGE_ENTRIES = ["1e20000000", '"1e20000000"', '"1e-999999"', "1e400", '"-2e-3"', "7" * 5000,
+                 '"%s"' % ("7" * 5000), "-" + "9" * 4300]
 STDIN = st.one_of(st.sampled_from(MATRICES), st.lists(st.sampled_from(
     ["{", "}", "[", "]", ",", ":", '"n"', '"entries"', '"1/2"', "0", "1", "null"]),
-    max_size=12).map("".join))
+    max_size=12).map("".join),
+    st.sampled_from(LARGE_ENTRIES).map('{"n": 1, "entries": [[%s]]}'.__mod__))
 
 
 @st.composite
@@ -359,3 +365,20 @@ def test_fuzzed_invocations_end_with_a_documented_exit_code(argv, stdin_text):
         lines = out.getvalue().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["status"] in ("ok", "error")
+
+
+@settings(max_examples=300)
+@given(invocations())
+def test_one_subcommand_parser_agrees_with_the_full_parser(argv):
+    """The fast path parses like build_parser(), or hands argv to it unchanged."""
+    results = []
+    for parse in (build_parser().parse_args, _parse_args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                namespace = vars(parse(argv))
+                namespace.pop("command", None)
+            except SystemExit as exc:
+                namespace = exc.code
+        results.append((namespace, out.getvalue(), err.getvalue()))
+    assert results[0] == results[1]
