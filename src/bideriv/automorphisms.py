@@ -4,8 +4,10 @@ A grading-preserving automorphism of the algebra (with both the ring
 product and the gradient product) is a linear substitution
 ``x_j -> sum_k a_kj x_k`` whose matrix is orthogonal, and conversely; the
 whole check reduces to the finite pairing table ``h_i o h_j = delta_ij``
-(which is exactly ``A^T A = I`` entry by entry).  Composition of the
-induced maps corresponds to the matrix product in the same order.
+(which is exactly ``A^T A = I`` entry by entry, so it is decided in integers
+on the matrix).  Composition of the induced maps corresponds to the matrix
+product in the same order.  Substitution builds image powers by squaring and
+refuses ``deg(f)`` times the largest image exponent at or above ``2**64``.
 
 For one variable the full automorphism group is affine: ``x -> l*x + m``
 with ``l^2 = 1``, composing like the semidirect product of translations by
@@ -17,10 +19,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import DimensionMismatchError, DomainError, FieldMismatchError
+from .errors import DimensionMismatchError, DomainError, FieldMismatchError, PreconditionError
 from .fields import QQ, Field
 from .matrices import SquareMatrix
-from .poly import Packed, Polynomial, _kernel, circ, random_polynomial
+from .poly import Packed, Polynomial, _Kernel, _kernel, circ, random_polynomial
 from .verdicts import Verdict, _Record, _set_field
 
 __all__ = [
@@ -35,6 +37,36 @@ __all__ = [
     "rational_orthogonal_sample",
     "substitute",
 ]
+
+
+def _apply_packed(k: _Kernel, images: list[Packed], value: Packed) -> Packed:
+    """value(h1, ..., hn): c X^u goes to c prod_i h_i^u_i.
+
+    Each image power is built once, by squaring unless the power below it is
+    known.  The caller keeps deg(value) times the largest image exponent
+    below 2**64, so no slot of any power carries.
+    """
+    powers = [{1: h} for h in images]
+
+    def power(i: int, e: int) -> Packed:
+        cache = powers[i]
+        if e not in cache:
+            if e & 1 or e - 1 in cache:
+                cache[e] = k.mul(power(i, e - 1), images[i])
+            else:
+                half = power(i, e >> 1)
+                cache[e] = k.mul(half, half)
+        return cache[e]
+
+    ints, d = value
+    terms = []
+    for w, c in ints.items():
+        term = ({0: c}, d)
+        for i, e in enumerate(k.exponents(w)):
+            if e:
+                term = k.mul(term, power(i, e))
+        terms.append((1, term))
+    return k.comb(*terms)
 
 
 class Substitution(_Record):
@@ -76,25 +108,12 @@ class Substitution(_Record):
             )
         if f.field != self.field:
             raise FieldMismatchError("substitution and polynomial over different fields")
-        # c X^u goes to c prod_i h_i^u_i, with the powers of each image cached.
         k = _kernel(f)
-        *images, (ints, d) = k.pack(*self.images, f)
-        powers = [[({0: 1}, 1)] for _ in images]
-
-        def power(i: int, e: int) -> Packed:
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(k.mul(cache[-1], images[i]))
-            return cache[e]
-
-        terms = []
-        for w, c in ints.items():
-            term = ({0: c}, d)
-            for i, e in enumerate(k.exponents(w)):
-                if e:
-                    term = k.mul(term, power(i, e))
-            terms.append((1, term))
-        return k.unpack(k.comb(*terms))
+        *images, value = k.pack(*self.images, f)
+        top = max((e for h in self.images for u in h.terms for e in u), default=0)
+        if (f.degree() or 0) * top >= 1 << 64:
+            raise PreconditionError(f"degree times image exponent {top} reaches the bound 2**64")
+        return k.unpack(_apply_packed(k, images, value))
 
     def after(self, inner: "Substitution") -> "Substitution":
         """Composite endomorphism: first `inner`, then self."""
@@ -113,23 +132,33 @@ def substitute(f: Polynomial, s: Substitution) -> Polynomial:
 def induced_map(a: SquareMatrix) -> Substitution:
     """Linear substitution with x_j -> sum_k a_kj x_k (column j gives the image)."""
     n = a.n
-    images = []
-    for j in range(n):
-        terms = {}
-        for k in range(n):
-            c = a.entries[k][j]
-            if not c:
-                continue
-            u = [0] * n
-            u[k] = 1
-            terms[tuple(u)] = c
-        images.append(Polynomial(n, terms, a.field))
-    return Substitution(tuple(images))
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    return Substitution(tuple(
+        Polynomial(n, {unit[k]: row[j] for k, row in enumerate(a.entries) if row[j]}, a.field)
+        for j in range(n)))
+
+
+def _pairing_mismatch(a: SquareMatrix) -> tuple[int, int, Fraction] | None:
+    """The first (i, j, (A^T A)_ij) over i <= j, in row order, with (A^T A)_ij != delta_ij.
+
+    (A^T A)_ij is the constant h_i o h_j; it is summed on integer numerators.
+    """
+    from operator import mul
+    rows, scale = a._integer_rows()
+    cols = list(zip(*rows))
+    p, one = a.field.characteristic, scale * scale
+    for i, ci in enumerate(cols):
+        for j in range(i, a.n):
+            s = sum(map(mul, ci, cols[j]))
+            miss = s - one if i == j else s
+            if miss % p if p else miss:
+                return i, j, Fraction(s, one)
+    return None
 
 
 def is_orthogonal(a: SquareMatrix) -> bool:
     """Exact test of A^T A = I."""
-    return a.transpose() * a == SquareMatrix.identity(a.n, a.field)
+    return _pairing_mismatch(a) is None
 
 
 def check_automorphism(a: SquareMatrix, spot_checks: int = 2,
@@ -139,31 +168,32 @@ def check_automorphism(a: SquareMatrix, spot_checks: int = 2,
     The verdict rests on the finite pairing table: the images must satisfy
     ``h_i o h_j = delta_ij`` for all i <= j (equivalent to orthogonality of
     the matrix, and sufficient for preservation of the gradient product by
-    the chain rule).  A few random product preservation checks are run on
-    top as an integration sanity pass, not as the deciding evidence.
+    the chain rule).  Each pairing is the constant ``(A^T A)_ij``, read off
+    the matrix entries up to the first mismatch.  A few random product
+    preservation checks are run on top as an integration sanity pass, not as
+    the deciding evidence, exactly on the kernel values of both sides.
     """
-    sub = induced_map(a)
-    n = a.n
-    one = Polynomial.constant(n, 1, a.field)
-    zero = Polynomial.zero(n, a.field)
-    for i in range(n):
-        for j in range(i, n):
-            got = circ(sub.images[i], sub.images[j])
-            expected = one if i == j else zero
-            if got != expected:
-                return Verdict(
-                    False,
-                    detail=(f"image pairing h{i + 1} o h{j + 1} = {got}, "
-                            f"expected {expected}"),
-                    witness=(i + 1, j + 1),
-                )
+    for name, value in (("spot_checks", spot_checks), ("spot_degree", spot_degree)):
+        if not isinstance(value, int) or value < 0:
+            raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    n, field = a.n, a.field
+    if bad := _pairing_mismatch(a):
+        i, j, got = bad
+        got, expected = (Polynomial.constant(n, c, field) for c in (got, int(i == j)))
+        return Verdict(False, detail=f"image pairing h{i + 1} o h{j + 1} = {got}, "
+                                     f"expected {expected}", witness=(i + 1, j + 1))
     rng = random.Random(rng_seed)
+    k = _Kernel(n, field)
+    images = k.pack(*induced_map(a).images)
     for _ in range(spot_checks):
-        f = random_polynomial(rng, n, spot_degree, a.field, max_terms=3)
-        g = random_polynomial(rng, n, spot_degree, a.field, max_terms=3)
-        if sub.apply(circ(f, g)) != circ(sub.apply(f), sub.apply(g)):
-            return Verdict(False,
-                           detail="product preservation failed on a random pair",
+        f = random_polynomial(rng, n, spot_degree, field, max_terms=3)
+        g = random_polynomial(rng, n, spot_degree, field, max_terms=3)
+        pf, pg = k.pack(f, g)
+        lhs, sl = _apply_packed(k, images, k.circ(pf, pg))
+        rhs, sr = k.circ(_apply_packed(k, images, pf), _apply_packed(k, images, pg))
+        # Both sides are canonical up to their scales: cross-multiply them.
+        if {w: c * sr for w, c in lhs.items()} != {w: c * sl for w, c in rhs.items()}:
+            return Verdict(False, detail="product preservation failed on a random pair",
                            witness=(str(f), str(g)))
     return Verdict(True, detail=f"pairings orthonormal; {spot_checks} spot checks passed")
 

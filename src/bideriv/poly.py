@@ -16,8 +16,9 @@ Products, ``circ``, substitution, vector-field actions and the chained
 identities run on a private integer kernel.  Each input is packed once: one
 int key per exponent tuple, with a 64-bit slot per variable, and integer
 coefficients (numerators over one denominator for QQ, residues for GF(p)).
-Field scalars are built once per output term.  Kernel inputs need every
-exponent below 2**32 (else PreconditionError), so no slot reaches 2**64.
+Field scalars are built once per output term, in the pass that decodes it.
+Kernel inputs need every exponent below 2**32 (else PreconditionError);
+substitution also needs deg(f) times the largest image exponent below 2**64.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here may be shared freely between
@@ -98,7 +99,7 @@ def monomials_of_degree(n: int, k: int) -> list[Monomial]:
 
 Packed = tuple[dict[int, int], int]
 # Below this bound no slot carries: chains add a few exponents, and substitution
-# takes X^u to slots below sum(u) * 2**32, but only after sum(u) products.
+# refuses f unless deg(f) times the largest image exponent is below 2**64.
 _EXPONENT_BOUND = 1 << 32
 
 
@@ -133,9 +134,10 @@ class _Kernel:
 
     def unpack(self, value: Packed) -> "Polynomial":
         ints, scale = value
-        exponents, p = self.exponents, self.p
+        decode, size, p = self._struct.unpack, 8 * self.n, self.p
         return Polynomial._make(self.n, self.field, {
-            exponents(w): FpElement(c, p) if p else Fraction(c, scale) for w, c in ints.items()})
+            decode(w.to_bytes(size, "little")): FpElement(c, p) if p else Fraction(c, scale)
+            for w, c in ints.items()})
 
     def _tidy(self, ints: dict[int, int]) -> dict[int, int]:
         if p := self.p:
@@ -146,9 +148,9 @@ class _Kernel:
         """The nonzero d/dx_(i+1) of a value, keyed by i."""
         ints, scale = value
         parts: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        exponents, slots = self.exponents, range(self.n)
+        decode, size, slots = self._struct.unpack, 8 * self.n, range(self.n)
         for w, c in ints.items():
-            u = exponents(w)
+            u = decode(w.to_bytes(size, "little"))
             for i in compress(slots, u):
                 parts[i][w - (1 << 64 * i)] = c * u[i]
         if self.p:  # u[i] may be a multiple of p

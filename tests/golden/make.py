@@ -108,6 +108,21 @@ def cases() -> list[tuple[list[str], str | None]]:
         (["circ", "-n", "2", "--field", "fp:7", "x1^3 + 5*x2", "x1*x2^2"], None),
         (["decompose", "-n", "2", "--field", "fp:10007", "--json", "1/2*x1^2 + x2"], None),
         (["peirce", "-n", "2", "--field", "fp:7"], None),
+        # aut-check pairing tables: off-diagonal, zero-column and fractional
+        # failures, GF(7) verdicts and a non-default spot-check seed
+        (["aut-check", "-n", "2"], '{"n": 2, "entries": [["1", "1"], ["0", "1"]]}'),
+        (["aut-check", "-n", "3", "--json"],
+         '{"n": 3, "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]}'),
+        (["aut-check", "-n", "2"], '{"n": 2, "entries": [["3/5", "4/5"], ["4/5", "1/2"]]}'),
+        (["aut-check", "-n", "2", "--json"], '{"n": 2, "entries": [["1/3", "0"], ["0", "1"]]}'),
+        (["aut-check", "-n", "2"], '{"n": 2, "entries": [["1", "-1/2"], ["0", "1"]]}'),
+        (["aut-check", "-n", "2", "--field", "fp:7"], '{"n": 2, "entries": [[2, -2], [2, 2]]}'),
+        (["aut-check", "-n", "2", "--field", "fp:7", "--json"],
+         '{"n": 2, "entries": [[3, 0], [0, 1]]}'),
+        (["aut-check", "-n", "2", "--field", "fp:7"], '{"n": 2, "entries": [[1, 3], [0, 1]]}'),
+        (["aut-check", "-n", "2", "--seed", "12345"], ROTATION),
+        (["aut-check", "-n", "3", "--seed", "7", "--json"],
+         '{"n": 3, "entries": [["0", "-1", "0"], ["3/5", "0", "4/5"], ["4/5", "0", "-3/5"]]}'),
     ]
     return out
 

@@ -5,7 +5,9 @@ import pytest
 
 from bideriv import (
     QQ,
+    CoercionError,
     DimensionMismatchError,
+    DomainError,
     Polynomial,
     PreconditionError,
     SquareMatrix,
@@ -22,7 +24,7 @@ from bideriv import (
     rational_orthogonal_sample,
     substitute,
 )
-from conftest import F3, KERNEL_FIELDS, assert_canonical, schoolbook_mul, var
+from conftest import F3, F7, F10007, KERNEL_FIELDS, assert_canonical, schoolbook_mul, var
 
 ROTATION = SquareMatrix([["3/5", "-4/5"], ["4/5", "3/5"]])
 
@@ -127,6 +129,38 @@ def test_substitution_at_the_exponent_bound():
             s.apply(f)
 
 
+def test_substitution_powers_by_squaring():
+    x1, x2 = var(2, 1), var(2, 2)
+    top = 2 ** 32 - 1
+    # Linear powering would take 2**32 products here.
+    assert Substitution((x1, x2)).apply(x1 ** top * x2) == x1 ** top * x2
+    assert Substitution((x2, x1)).apply(x1 ** top * x2 ** 3) == x2 ** top * x1 ** 3
+    # Powers reached by squaring and by one more factor, in a mixed order.
+    for field in KERNEL_FIELDS:
+        y1, y2 = var(2, 1, field), var(2, 2, field)
+        one = Polynomial.constant(2, 1, field)
+        s = Substitution((y1 + 2 * y2 - one, y1 * y2 + 3 * one))
+        f = y1 ** 8 + y1 ** 3 * y2 ** 6 - 4 * y1 ** 7 + y2 ** 5 + y1 ** 2
+        got = s.apply(f)
+        assert got == apply_by_products(s, f)
+        assert_canonical(got)
+
+
+def test_substitution_refuses_a_possible_slot_carry():
+    top = 2 ** 32 - 1
+    x1, x2 = var(2, 1), var(2, 2)
+    # deg(f) * top = 2**64 - 1: the largest slot, top**2, still fits.
+    s = Substitution((x1 ** top, x2))
+    assert s.apply(x1 ** top * x2 ** 2) == Polynomial.monomial(2, (top * top, 2))
+    y1, y2, y3 = var(3, 1), var(3, 2), var(3, 3)
+    for s, f in ((s, x1 ** top * x2 ** 3),
+                 (Substitution((x1 ** top, x1 ** top)), x1 ** top * x2 ** top),
+                 # deg(f) * 2**31 = 2**64 exactly
+                 (Substitution((y1 ** 2 ** 31, y2, y3)), (y1 * y2) ** top * y3 ** 2)):
+        with pytest.raises(PreconditionError, match=r"2\*\*64"):
+            s.apply(f)
+
+
 def test_substitute_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         substitute(var(3, 1), Substitution.identity(2))
@@ -183,6 +217,73 @@ def test_check_matches_orthogonality_on_samples(rng):
             broken = _perturb(rng, m)
             assert not is_orthogonal(broken)
             assert not check_automorphism(broken, rng_seed=trial).ok
+
+
+def test_check_automorphism_refuses_bad_arguments():
+    for kwargs in ({"spot_checks": -1}, {"spot_degree": -2}, {"spot_checks": 1.5}):
+        with pytest.raises(DomainError):
+            check_automorphism(ROTATION, **kwargs)
+
+
+def circ_table_check(a, spot_checks=2, rng_seed=0, spot_degree=3):
+    """The verdict from n(n+1)/2 `circ` calls and Polynomial-level spot checks."""
+    sub = induced_map(a)
+    n = a.n
+    one = Polynomial.constant(n, 1, a.field)
+    zero = Polynomial.zero(n, a.field)
+    for i in range(n):
+        for j in range(i, n):
+            got = circ(sub.images[i], sub.images[j])
+            expected = one if i == j else zero
+            if got != expected:
+                return (False, f"image pairing h{i + 1} o h{j + 1} = {got}, expected {expected}",
+                        (i + 1, j + 1))
+    rng = random.Random(rng_seed)
+    for _ in range(spot_checks):
+        f = random_polynomial(rng, n, spot_degree, a.field, max_terms=3)
+        g = random_polynomial(rng, n, spot_degree, a.field, max_terms=3)
+        if sub.apply(circ(f, g)) != circ(sub.apply(f), sub.apply(g)):
+            return False, "product preservation failed on a random pair", (str(f), str(g))
+    return True, f"pairings orthonormal; {spot_checks} spot checks passed", None
+
+
+def _oracle_matrices(rng, field):
+    """Orthogonal samples mapped into `field`, perturbed copies, zero-column copies
+    and shears (whose first mismatch is off the diagonal)."""
+    out = []
+    for n in range(1, 5):
+        for _ in range(3):
+            m = rational_orthogonal_sample(rng.randint(0, 10 ** 6), n)
+            try:
+                m = SquareMatrix(m.entries, field)
+            except CoercionError:  # a denominator divisible by p
+                continue
+            rows = [list(row) for row in m.entries]
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] += field(rng.randint(1, 5))
+            zeroed = [list(row) for row in m.entries]
+            for row in zeroed:
+                row[j] = field.zero
+            out += [m, SquareMatrix(rows, field), SquareMatrix(zeroed, field)]
+        shear = [[field.one if p == q or q == p + 1 else field.zero for q in range(n)]
+                 for p in range(n)]
+        out.append(SquareMatrix(shear, field))
+    out.append(SquareMatrix([["1", "1/2"], ["0", "1"]], field))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F10007], ids=repr)
+def test_check_automorphism_matches_circ_table(field):
+    rng = random.Random(11)
+    oks = off_diagonal = 0
+    for seed, m in enumerate(_oracle_matrices(rng, field)):
+        verdict = check_automorphism(m, rng_seed=seed)
+        assert (verdict.ok, verdict.detail, verdict.witness) == circ_table_check(m, rng_seed=seed)
+        identity = SquareMatrix.identity(m.n, field)
+        assert is_orthogonal(m) == (m.transpose() * m == identity) == verdict.ok
+        oks += verdict.ok
+        off_diagonal += not verdict.ok and verdict.witness[0] != verdict.witness[1]
+    assert oks >= 8 and off_diagonal
 
 
 def _perturb(rng, m):

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bideriv import (
     QQ,
+    PrimeField,
     DimensionMismatchError,
     FieldMismatchError,
     Polynomial,
@@ -23,9 +25,11 @@ from bideriv import (
     random_polynomial,
     rational_orthogonal_sample,
 )
+from bideriv.poly import _kernel
 from conftest import (
     F3,
     F5,
+    F7,
     KERNEL_FIELDS,
     assert_canonical,
     associator_oracle,
@@ -241,6 +245,40 @@ def test_kernel_refuses_exponents_at_the_bound():
                lambda: gradient(x).apply(big)):
         with pytest.raises(PreconditionError, match=r"2\*\*32"):
             op()
+
+
+@st.composite
+def kernel_polynomials(draw, n, field):
+    """Sparse polynomials with exponents up to 2**32 - 1, large denominators
+    and residues up to p - 1."""
+    exponent = st.one_of(st.integers(1, 3), st.just(EXPONENT_BOUND - 1),
+                         st.integers(1, EXPONENT_BOUND - 1))
+    slots = st.dictionaries(st.integers(0, n - 1), exponent, max_size=3)
+    if isinstance(field, PrimeField):
+        coeff = st.one_of(st.just(field.p - 1), st.integers(1, field.p - 1))
+    else:
+        coeff = st.fractions(max_denominator=10 ** 12).filter(bool)
+    terms = draw(st.lists(st.tuples(slots, coeff), max_size=5))
+    return Polynomial(n, [(tuple(u.get(i, 0) for i in range(n)), c) for u, c in terms], field)
+
+
+@given(st.sampled_from(KERNEL_FIELDS + [F7]), st.sampled_from((1, 2, 7, 1024)), st.data())
+def test_kernel_pack_unpack_round_trip(field, n, data):
+    f, g = data.draw(kernel_polynomials(n, field)), data.draw(kernel_polynomials(n, field))
+    k = _kernel(f)
+    assert k.unpack(*k.pack(f)) == f
+    assert [k.unpack(v) for v in k.pack(f, g)] == [f, g]  # over one shared scale
+
+
+def test_kernel_round_trip_at_the_edges():
+    top = EXPONENT_BOUND - 1
+    u = tuple(top if i in (0, 511, 1023) else i % 3 for i in range(1024))
+    for field in KERNEL_FIELDS + [F7]:
+        last = field.characteristic - 1 if field.characteristic else Fraction(-7, 10 ** 9)
+        f = Polynomial(1024, {u: last, (0,) * 1024: 1, (top,) + (0,) * 1023: 2}, field)
+        k = _kernel(f)
+        assert k.unpack(*k.pack(f)) == f
+        assert_canonical(k.unpack(*k.pack(f)))
 
 
 def test_kernel_cancels_exactly():
